@@ -64,6 +64,8 @@ class VerifyConfig:
         if self.format not in ("json", "text"):
             raise ValueError(f"unknown format: {self.format!r}")
         if self.identities is not None:
+            if not self.identities:
+                raise ValueError("identities selects no checks")
             unknown = [i for i in self.identities if i not in ALL_IDS]
             if unknown:
                 raise ValueError(f"unknown identities: {', '.join(unknown)}")

@@ -87,15 +87,13 @@ class TruncatedEGF:
             return NotImplemented
         self._require_same_order(other)
         a, b = self._coeffs, other._coeffs
-        out = []
-        for n in range(self.order + 1):
-            acc = Poly2()
-            for j in range(n + 1):
-                aj, bnj = a[j], b[n - j]
-                if aj and bnj:
-                    acc = acc + (aj * bnj) * math.comb(n, j)
-            out.append(acc)
-        return TruncatedEGF(self.order, out)
+        return TruncatedEGF(
+            self.order,
+            [
+                Poly2.sum_of_products((math.comb(n, j), a[j], b[n - j]) for j in range(n + 1))
+                for n in range(self.order + 1)
+            ],
+        )
 
     def scale(self, value: CoeffLike) -> "TruncatedEGF":
         """Multiply every coefficient by a fixed polynomial or scalar."""
@@ -190,6 +188,20 @@ def egf_exp_affine(c: CoeffLike, order: int) -> TruncatedEGF:
     return TruncatedEGF(order, coeffs)
 
 
+def egf_linear_combination(
+    order: int, terms: Iterable[tuple[CoeffLike, TruncatedEGF]]
+) -> TruncatedEGF:
+    """sum_j w_j E_j for polynomial or scalar weights w_j and order-`order`
+    series E_j; each output coefficient is canonicalised once."""
+    pairs = [(Poly2.coerce(w), e) for w, e in terms]
+    if any(e.order != order for _, e in pairs):
+        raise ValueError(f"every term must have order {order}")
+    return TruncatedEGF(
+        order,
+        [Poly2.sum_of_products((1, w, e._coeffs[n]) for w, e in pairs) for n in range(order + 1)],
+    )
+
+
 def egf_mul(a: TruncatedEGF, b: TruncatedEGF) -> TruncatedEGF:
     return a * b
 
@@ -228,18 +240,13 @@ def _monomial_scale(k: int, var: Poly2) -> Poly2:
 
 
 def _fe_sum(order: int):
-    lhs = TruncatedEGF.zero(order)
-    for k in range(order + 1):
-        lhs = lhs + egf_bernstein(k, order)
+    lhs = egf_linear_combination(order, [(1, egf_bernstein(k, order)) for k in range(order + 1)])
     return lhs, egf_exp_affine(1, order)
 
 
 def _fe_alt(order: int):
-    lhs = TruncatedEGF.zero(order)
-    for k in range(order + 1):
-        term = egf_bernstein(k, order)
-        lhs = lhs + (-term if k % 2 else term)
-    return lhs, egf_exp_affine(1 - 2 * _X, order)
+    terms = [((-1) ** k, egf_bernstein(k, order)) for k in range(order + 1)]
+    return egf_linear_combination(order, terms), egf_exp_affine(1 - 2 * _X, order)
 
 
 def _fe_g1(order: int, k: int):
@@ -268,34 +275,24 @@ def _fe_sub(order: int, j: int):
 
 def _fe_mono(order: int, l: int):
     lhs = egf_exp_affine(1, order).shift_t(l).scale(_monomial_scale(l, _X))
-    rhs = TruncatedEGF.zero(order)
-    for k in range(l, order + 1):
-        rhs = rhs + egf_bernstein(k, order).scale(math.comb(k, l))
-    return lhs, rhs
+    terms = [(math.comb(k, l), egf_bernstein(k, order)) for k in range(l, order + 1)]
+    return lhs, egf_linear_combination(order, terms)
 
 
 def _fe_diffx(order: int, k: int, l: int):
     if l > order:
         raise ValueError(f"derivative order l={l} must not exceed the truncation order {order}")
     lhs = egf_bernstein(k, order).diff_x(l)
-    rhs = TruncatedEGF.zero(order)
-    for j in range(l + 1):
-        sign = -1 if (l - j) % 2 else 1
-        term = egf_bernstein(k - j, order).shift_t(l).scale(sign * math.comb(l, j))
-        rhs = rhs + term
-    return lhs, rhs
+    terms = [((-1) ** (l - j) * math.comb(l, j), egf_bernstein(k - j, order)) for j in range(l + 1)]
+    return lhs, egf_linear_combination(order, terms).shift_t(l)
 
 
 def _fe_difft(order: int, k: int, v: int):
     if v > order:
         raise ValueError(f"derivative order v={v} must not exceed the truncation order {order}")
     lhs = egf_bernstein(k, order).diff_t(v)
-    rhs = TruncatedEGF.zero(order - v)
-    for j in range(v + 1):
-        basis = bernstein_basis(v, j)
-        if basis:
-            rhs = rhs + egf_bernstein(k - j, order - v).scale(Poly2.coerce(basis))
-    return lhs, rhs
+    terms = [(bernstein_basis(v, j), egf_bernstein(k - j, order - v)) for j in range(v + 1)]
+    return lhs, egf_linear_combination(order - v, terms)
 
 
 def _fe_prod(order: int, k1: int, k2: int):

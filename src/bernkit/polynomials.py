@@ -227,6 +227,11 @@ class Poly2:
 
     @classmethod
     def _raw(cls, rows: list[list[int]], den: int) -> "Poly2":
+        """Internal constructor from an integer grid over a positive denominator.
+
+        Every row must have the same length: callers pass rectangular grids,
+        and the trim below relies on it.
+        """
         while rows and not any(rows[-1]):
             rows.pop()
         self = object.__new__(cls)
@@ -234,25 +239,55 @@ class Poly2:
             self._num = ()
             self._den = 1
             return self
-        width = 0
-        for r in rows:
-            w = len(r)
-            while w and r[w - 1] == 0:
-                w -= 1
-            width = max(width, w)
-        rows = [list(r[:width]) + [0] * (width - len(r[:width])) for r in rows]
-        g = den
-        for r in rows:
-            for v in r:
-                g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            rows = [[v // g for v in r] for r in rows]
-            den //= g
-        self._num = tuple(tuple(r) for r in rows)
+        if not any(r[-1] for r in rows):
+            width = 0
+            for r in rows:
+                w = len(r)
+                while w and r[w - 1] == 0:
+                    w -= 1
+                width = max(width, w)
+            rows = [r[:width] for r in rows]
+        if den != 1:
+            g = den
+            for r in rows:
+                g = math.gcd(g, *r)
+                if g == 1:
+                    break
+            if g > 1:
+                rows = [[v // g for v in r] for r in rows]
+                den //= g
+        self._num = tuple(map(tuple, rows))
         self._den = den
         return self
+
+    @classmethod
+    def sum_of_products(cls, terms: Iterable[tuple[int, "Poly2", "Poly2"]]) -> "Poly2":
+        """Canonical sum of w*a*b over (w, a, b) triples with integer weights.
+
+        The products are accumulated into one integer grid over the lcm of
+        their denominators and canonicalised once, instead of once per
+        product and once per partial sum.
+        """
+        live = [(w, a, b) for w, a, b in terms if w and a._num and b._num]
+        if not live:
+            return cls._raw([], 1)
+        den = 1
+        rows = cols = 0
+        for _, a, b in live:
+            d = a._den * b._den
+            den = den * d // math.gcd(den, d)
+            rows = max(rows, len(a._num) + len(b._num) - 1)
+            cols = max(cols, len(a._num[0]) + len(b._num[0]) - 1)
+        out = [[0] * cols for _ in range(rows)]
+        for w, a, b in live:
+            m = w * (den // (a._den * b._den))
+            for orow, prow in zip(out, conv2(a._num, b._num)):
+                q = 0
+                for v in prow:
+                    if v:
+                        orow[q] += m * v
+                    q += 1
+        return cls._raw(out, den)
 
     @classmethod
     def constant(cls, value: ScalarLike) -> "Poly2":

@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Union
 
 from ._backend import simpson_exp_monomial
-from .bernstein import bernstein_basis
 from .polynomials import ScalarLike, as_scalar, scalar_str
 
 SERIES_IDS = ("TG3", "TG4")
@@ -80,8 +79,9 @@ def _ratio_and_amplitude(series_id: str, k: int, x: Fraction) -> tuple[Fraction,
 
 
 def _term(series_id: str, k: int, x: Fraction, n: int) -> Fraction:
-    """Signed n-th term of the series."""
-    b = bernstein_basis(n, k).evaluate(x)
+    """Signed n-th term of the series, for n >= k; the basis value
+    C(n,k) x^k (1-x)^(n-k) is evaluated directly, with no polynomial built."""
+    b = math.comb(n, k) * x**k * (1 - x) ** (n - k)
     if series_id == "TG3":
         return b
     return -b / x ** (n + 1) if n % 2 else b / x ** (n + 1)

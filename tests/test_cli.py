@@ -42,6 +42,19 @@ class TestExitCodes:
         assert code == 2
         assert "typo" in err
 
+    @pytest.mark.parametrize("selection", [",", " , "])
+    def test_empty_selection_is_usage_error(self, capsys, selection):
+        code, out, err = run_cli(capsys, ["--identities", selection])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_empty_identities_tuple_rejected(self):
+        with pytest.raises(ValueError):
+            VerifyConfig(identities=()).validate()
+        with pytest.raises(ValueError):
+            run_verify(VerifyConfig(identities=()))
+
     def test_unknown_mutate_target_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["--mutate", "typo"])
         assert code == 2

@@ -1,5 +1,7 @@
 """Truncated generating-function ring and the functional-equation catalog."""
 
+import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernkit.bernstein import bernstein_basis
+from bernkit.campaign import VerifyConfig, emit_report, run_verify
 from bernkit.egf import (
     FE_IDS,
     TruncatedEGF,
@@ -18,6 +21,7 @@ from bernkit.egf import (
     egf_diff_x,
     egf_equal,
     egf_exp_affine,
+    egf_linear_combination,
     egf_mul,
     egf_substitute_t,
     fe_param_names,
@@ -100,6 +104,30 @@ class TestRingOperations:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             egf_mul(egf_exp_affine(1, 3), egf_exp_affine(1, 4))
+
+    @given(egf_pair_st)
+    def test_product_is_the_binomial_convolution(self, ab):
+        a, b = ab
+        want = []
+        for n in range(a.order + 1):
+            acc = Poly2()
+            for j in range(n + 1):
+                acc = acc + a.coefficient(j) * b.coefficient(n - j) * math.comb(n, j)
+            want.append(acc)
+        got = (a * b).coeffs
+        assert [(c._num, c._den) for c in got] == [(c._num, c._den) for c in want]
+
+    @given(egf_pair_st, poly2_st, st.integers(min_value=-3, max_value=3))
+    def test_linear_combination_matches_scaled_sum(self, ab, w, c):
+        a, b = ab
+        assert egf_linear_combination(a.order, [(w, a), (c, b)]) == a.scale(w) + b.scale(c)
+
+    def test_linear_combination_of_nothing_is_zero(self):
+        assert egf_linear_combination(3, []) == TruncatedEGF.zero(3)
+
+    def test_linear_combination_order_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            egf_linear_combination(3, [(1, egf_exp_affine(1, 4))])
 
     @given(egf_triple_st)
     def test_ring_laws_up_to_truncation(self, abc):
@@ -276,3 +304,25 @@ class TestFunctionalEquationCatalog:
         mutated = check_closed_form(3, 12, mutate=True)
         assert not mutated.passed
         assert mutated.witness.monomial == {"t": 3, "x": 3, "y": 0}
+
+
+# sha256 of the JSON report, wall_time_s zeroed, at max_degree=4 and
+# egf_order=10, recorded from the ring that canonicalised once per term:
+# a changed verdict, witness or report byte changes the digest.
+GOLDEN_REPORT_DIGESTS = {
+    None: "a139e6b1279bd95f3b0fac5b9b6e38622e94262a8b3618f794bc5f85fff0b110",
+    "FE-PROD": "f04a212e654c481dac642dc4c154c4060c0e5ee831dc15af11f3f03b411665cb",
+    "FE-DIFFX": "0aca4620524bbcdddcfd2c11ebd5386118391cc709bdbd8fa6948c13f0f0bd4f",
+    "FE-SUB": "9e8c60f79ecfa30c20e29021ad63d123535495efb9fe99066cc1c3ed33b8845d",
+    "egf-closed-form": "45e3da6ca3e367f651602a75958500b11ceaa449ed8f3459f4e1e391caa05cf8",
+}
+
+
+@pytest.mark.parametrize("mutate", list(GOLDEN_REPORT_DIGESTS))
+def test_report_digest_is_unchanged(mutate):
+    """All FE checks clean, or one mutated id on its own."""
+    ids = FE_IDS if mutate is None else (mutate,)
+    report = run_verify(VerifyConfig(max_degree=4, egf_order=10, identities=ids), mutate=mutate)
+    report.wall_time_s = 0.0
+    digest = hashlib.sha256(emit_report(report).encode()).hexdigest()
+    assert digest == GOLDEN_REPORT_DIGESTS[mutate]

@@ -1,5 +1,6 @@
 """Exact polynomial algebra: canonical form, ring laws, substitutions."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,42 @@ from bernkit.polynomials import Poly1, Poly2, as_scalar, scalar_str
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 poly1_st = st.lists(fractions_st, max_size=6).map(Poly1)
 poly2_st = st.lists(st.lists(fractions_st, max_size=4), max_size=4).map(Poly2)
+
+
+@st.composite
+def padded_poly2_st(draw):
+    """A Poly2 built from a grid with trailing zero rows and columns; integer
+    grids also get a content above one, which canonicalisation keeps."""
+    entries = st.integers(-5, 5) if draw(st.booleans()) else fractions_st
+    grid = draw(st.lists(st.lists(entries, max_size=4), max_size=4))
+    content = draw(st.integers(1, 6))
+    pad = [0] * draw(st.integers(0, 2))
+    grid = [[c * content for c in row] + pad for row in grid]
+    return Poly2(grid + [pad] * draw(st.integers(0, 2)))
+
+
+def raw_grid_st(max_width=5):
+    """Rectangular integer grids, rich in zeros, as `Poly2._raw` receives them."""
+    cells = st.one_of(st.just(0), st.integers(-60, 60))
+    return st.integers(0, max_width).flatmap(
+        lambda w: st.lists(st.lists(cells, min_size=w, max_size=w), max_size=5)
+    )
+
+
+def reference_canonical(rows, den):
+    """(numerators, denominator) of the canonical form, from Fractions alone."""
+    cells = {
+        (i, j): Fraction(v, den) for i, row in enumerate(rows) for j, v in enumerate(row) if v
+    }
+    if not cells:
+        return (), 1
+    height = max(i for i, _ in cells) + 1
+    width = max(j for _, j in cells) + 1
+    common = math.lcm(*(f.denominator for f in cells.values()))
+    nums = tuple(
+        tuple(int(cells.get((i, j), 0) * common) for j in range(width)) for i in range(height)
+    )
+    return nums, common
 
 
 class TestScalars:
@@ -107,6 +144,24 @@ class TestPoly2:
     def test_trim_to_canonical(self):
         assert Poly2([[1, 0], [0, 0]]) == Poly2([[1]])
         assert not Poly2([[0, 0], [0, 0]])
+
+    @given(raw_grid_st(), st.integers(1, 60), st.integers(1, 6))
+    def test_raw_matches_reference_canonicaliser(self, rows, den, content):
+        rows = [[v * content for v in row] for row in rows]
+        p = Poly2._raw([list(row) for row in rows], den)
+        assert (p._num, p._den) == reference_canonical(rows, den)
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), padded_poly2_st(), padded_poly2_st()), max_size=5))
+    def test_sum_of_products_matches_naive_fold(self, terms):
+        want = Poly2()
+        for w, a, b in terms:
+            want = want + a * b * w
+        got = Poly2.sum_of_products(terms)
+        assert (got._num, got._den) == (want._num, want._den)
+
+    def test_sum_of_products_of_nothing_is_zero(self):
+        zero = Poly2.sum_of_products([(0, Poly2.x(), Poly2.y()), (3, Poly2(), Poly2.x())])
+        assert (zero._num, zero._den) == ((), 1)
 
     def test_xy_product(self):
         assert Poly2.x() * Poly2.y() == Poly2([[0, 0], [0, 1]])

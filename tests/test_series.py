@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from bernkit.bernstein import bernstein_basis
 from bernkit.series import (
     SERIES_IDS,
+    _term,
     laplace_monomial,
     partial_sum,
     required_terms,
@@ -52,6 +54,17 @@ class TestLimits:
         check = partial_sum("TG4", 1, Fraction(1), 10)
         assert check.partial_sum == -1 == check.limit
         assert check.tail_bound == 0
+
+
+class TestTerms:
+    def test_direct_term_matches_expanded_basis(self):
+        for series_id, points in GRID.items():
+            for x in points:
+                for n in range(41):
+                    for k in range(n + 1):
+                        b = bernstein_basis(n, k).evaluate(x)
+                        want = b if series_id == "TG3" else (-1) ** n * b / x ** (n + 1)
+                        assert _term(series_id, k, x, n) == want, (series_id, x, n, k)
 
 
 class TestTailBounds:
