@@ -12,13 +12,12 @@ Four layers:
   quadrature cross-check of the monomial transform.
 
 `cli`/`campaign` tie the layers into reproducible verification campaigns.
-Hot kernels run compiled when `bernkit._ckernels` was built, with a
-pure-Python fallback selected at import (`BERNKIT_PURE=1` forces it).
+The package is pure Python: the dense convolution kernels live in
+`polynomials` and the quadrature loop in `series`.
 """
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
 from .bernstein import (
     BernsteinForm,
     bernstein_basis,
@@ -73,7 +72,6 @@ from .series import (
 
 __all__ = [
     "__version__",
-    "backend_name",
     "BernsteinForm",
     "bernstein_basis",
     "binomial",

@@ -19,14 +19,11 @@ from typing import Optional
 
 from . import __version__
 from .bernstein import BernsteinForm, bernstein_basis, eval_de_casteljau, to_bernstein, to_monomial
-from .egf import FE_IDS, check_closed_form, check_functional_equation
-from .identities import DEFAULT_MUTATION, SUITE_IDS, run_identity
+from .egf import FE_IDS, check_closed_form, check_functional_equation, fe_param_names
+from .identities import SUITE_IDS, mutation_slots, run_identity, suite_params
 from .polynomials import scalar_str
 from .report import IdentityReport, Witness
 from .series import SERIES_IDS, laplace_monomial, partial_sum, required_terms
-
-RANDOM_IDS = ("basis-roundtrip", "basis-eval")
-ALL_IDS = SUITE_IDS + ("egf-closed-form",) + FE_IDS + SERIES_IDS + ("LAPLACE",) + RANDOM_IDS
 
 _SERIES_K_MAX = 3
 _SERIES_POINTS = {
@@ -121,92 +118,61 @@ class CampaignReport:
         }
 
 
-def suite_params(identity_id: str, max_degree: int) -> list[dict]:
-    """Admissible parameter tuples for one suite identity, degree-capped."""
-    d = max_degree
-    out: list[dict] = []
-    if identity_id in ("sum", "alternating-sum"):
-        out = [{"n": n} for n in range(d + 1)]
-    elif identity_id.startswith("subdivision-"):
-        out = [{"n": n, "j": j} for n in range(d + 1) for j in range(n + 1)]
-    elif identity_id == "monomial":
-        out = [{"n": n, "l": l} for n in range(d + 1) for l in range(n + 1)]
-    elif identity_id == "derivative":
-        out = [
-            {"n": n, "k": k, "l": l}
-            for n in range(d + 1)
-            for k in range(n + 1)
-            for l in range(n + 1)
-        ]
-    elif identity_id == "recurrence":
-        out = [
-            {"n": n, "k": k, "v": v}
-            for n in range(d + 1)
-            for k in range(n + 1)
-            for v in range(n + 1)
-        ]
-    elif identity_id in ("raise-x", "raise-1mx"):
-        out = [
-            {"n": n, "k": k, "d": dd}
-            for n in range(d + 1)
-            for k in range(n + 1)
-            for dd in (1, 2, 3)
-        ]
-    elif identity_id == "elevation":
-        out = [{"n": n, "k": k} for n in range(d + 1) for k in range(n + 1)]
-    elif identity_id == "product":
-        cap = min(d, 4)
-        out = [
-            {"n": n, "k1": k1, "k2": k2}
-            for n in range(d + 1)
-            for k1 in range(cap + 1)
-            for k2 in range(cap + 1)
-        ]
-    elif identity_id == "two-point":
-        out = [{"n": n, "k": k} for n in range(d + 1) for k in range(n // 2 + 1)]
-    elif identity_id in ("tg1", "tg2", "tg5"):
-        out = [{"n": n, "k": k} for n in range(1, d + 1) for k in range(1, n + 1)]
-    else:
-        raise ValueError(f"unknown identity id: {identity_id!r}")
+def fe_params(fe_id: str, max_index: int) -> list[dict]:
+    """Index tuples for one functional equation, each index 0..max_index."""
+    tuples: list[dict] = [{}]
+    for name in fe_param_names(fe_id):
+        tuples = [{**t, name: i} for t in tuples for i in range(max_index + 1)]
+    return tuples
+
+
+def _result(
+    check_id: str,
+    params: dict,
+    kind: str,
+    method: str,
+    witness: Optional[Witness] = None,
+    detail: Optional[dict] = None,
+) -> dict:
+    """One result of the report, in its fixed key order; it passes exactly
+    when it carries no witness."""
+    return {
+        "id": check_id,
+        "params": params,
+        "kind": kind,
+        "method": method,
+        "passed": witness is None,
+        "witness": witness.to_json_dict() if witness else None,
+        "detail": detail,
+    }
+
+
+def _from_report(rep: IdentityReport, kind: str) -> dict:
+    return _result(rep.identity_id, dict(rep.params), kind, rep.method, rep.witness)
+
+
+def _run_suite(identity_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
+    out = []
+    for params in suite_params(identity_id, config.max_degree):
+        slot = mutation_slots(identity_id, params)[0] if mutated else None
+        rep = run_identity(identity_id, params, mutate=slot, grid_margin=config.grid_margin)
+        out.append(_from_report(rep, "identity"))
     return out
 
 
-def fe_params(fe_id: str, max_index: int) -> list[dict]:
-    """Index tuples for one functional equation, each index 0..max_index."""
-    names = {
-        "FE-SUM": (),
-        "FE-ALT": (),
-        "FE-G1": ("k",),
-        "FE-G2": ("k",),
-        "FE-G3": ("k",),
-        "FE-SUB": ("j",),
-        "FE-MONO": ("l",),
-        "FE-DIFFX": ("k", "l"),
-        "FE-DIFFT": ("k", "v"),
-        "FE-PROD": ("k1", "k2"),
-        "FE-XY": ("k",),
-    }[fe_id]
-    if not names:
-        return [{}]
-    if len(names) == 1:
-        return [{names[0]: i} for i in range(max_index + 1)]
+def _run_closed_form(check_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
     return [
-        {names[0]: i, names[1]: j}
-        for i in range(max_index + 1)
-        for j in range(max_index + 1)
+        _from_report(check_closed_form(k, config.egf_order, mutate=mutated), "egf")
+        for k in range(config.max_degree + 1)
     ]
 
 
-def _identity_entry(rep: IdentityReport, kind: str = "identity") -> dict:
-    return {
-        "id": rep.identity_id,
-        "params": dict(rep.params),
-        "kind": kind,
-        "method": rep.method,
-        "passed": rep.passed,
-        "witness": rep.witness.to_json_dict() if rep.witness else None,
-        "detail": None,
-    }
+def _run_functional_equation(fe_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
+    order = config.egf_order
+    return [
+        _from_report(check_functional_equation(fe_id, params, order, mutate=mutated), "egf")
+        for params in fe_params(fe_id, config.max_degree)
+    ]
 
 
 def _run_series(series_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
@@ -217,111 +183,100 @@ def _run_series(series_id: str, config: VerifyConfig, mutated: bool) -> list[dic
             check = partial_sum(series_id, k, x, n)
             limit = check.limit + 1 if mutated else check.limit
             err = abs(check.partial_sum - limit)
-            passed = err <= config.series_eps and err <= check.tail_bound
-            entry = {
-                "id": series_id,
-                "params": {"k": k, "x": scalar_str(x)},
-                "kind": "series",
-                "method": "numeric",
-                "passed": passed,
-                "witness": None
-                if passed
-                else Witness(
-                    lhs=scalar_str(check.partial_sum), rhs=scalar_str(limit)
-                ).to_json_dict(),
-                "detail": check.to_json_dict(),
-            }
-            out.append(entry)
+            witness = None
+            if not (err <= config.series_eps and err <= check.tail_bound):
+                witness = Witness(lhs=scalar_str(check.partial_sum), rhs=scalar_str(limit))
+            params = {"k": k, "x": scalar_str(x)}
+            out.append(
+                _result(series_id, params, "series", "numeric", witness, check.to_json_dict())
+            )
     return out
 
 
-def _run_laplace(config: VerifyConfig, mutated: bool) -> list[dict]:
+def _run_laplace(check_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
     out = []
     for k in range(_LAPLACE_K_MAX + 1):
         for x in _LAPLACE_POINTS:
             res = laplace_monomial(k, x, steps=_LAPLACE_STEPS)
             exact = res.exact + 1 if mutated else res.exact
             rel = abs(res.approx - float(exact)) / float(exact)
-            passed = rel < _LAPLACE_RTOL
+            witness = None
+            if not rel < _LAPLACE_RTOL:
+                witness = Witness(lhs=repr(res.approx), rhs=scalar_str(exact))
+            params = {"k": k, "x": scalar_str(x)}
             out.append(
-                {
-                    "id": "LAPLACE",
-                    "params": {"k": k, "x": scalar_str(x)},
-                    "kind": "quadrature",
-                    "method": "numeric",
-                    "passed": passed,
-                    "witness": None
-                    if passed
-                    else Witness(lhs=repr(res.approx), rhs=scalar_str(exact)).to_json_dict(),
-                    "detail": res.to_json_dict(),
-                }
+                _result(check_id, params, "quadrature", "numeric", witness, res.to_json_dict())
             )
     return out
+
+
+def _basis_roundtrip(rng: random.Random, max_degree: int, mutated: bool) -> list[dict]:
+    out = []
+    for n in range(max_degree + 1):
+        coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(n + 1)]
+        form = BernsteinForm(n, coeffs)
+        back = to_bernstein(to_monomial(form), n)
+        if mutated:
+            back = BernsteinForm(n, [back.coeffs[0] + 1, *back.coeffs[1:]])
+        witness = None
+        if back != form:
+            idx = next(i for i, (a, b) in enumerate(zip(form.coeffs, back.coeffs)) if a != b)
+            witness = Witness(
+                lhs=scalar_str(form.coeffs[idx]),
+                rhs=scalar_str(back.coeffs[idx]),
+                monomial={"k": idx},
+            )
+        out.append(_result("basis-roundtrip", {"n": n}, "random", "symbolic", witness))
+    return out
+
+
+def _basis_eval(rng: random.Random, max_degree: int, mutated: bool) -> list[dict]:
+    out = []
+    for n in range(max_degree + 1):
+        for k in range(n + 1):
+            unit = BernsteinForm(n, [Fraction(i == k) for i in range(n + 1)])
+            poly = bernstein_basis(n, k)
+            witness = None
+            for _ in range(_EVAL_POINTS_PER_PAIR):
+                x = Fraction(rng.randint(0, 1000), 1001)
+                left = eval_de_casteljau(unit, x)
+                if mutated:
+                    left += 1
+                right = poly.evaluate(x)
+                if left != right:
+                    witness = Witness(
+                        lhs=scalar_str(left), rhs=scalar_str(right), point={"x": scalar_str(x)}
+                    )
+                    break
+            out.append(_result("basis-eval", {"n": n, "k": k}, "random", "grid", witness))
+    return out
+
+
+_RANDOM_CHECKS = {"basis-roundtrip": _basis_roundtrip, "basis-eval": _basis_eval}
+RANDOM_IDS = tuple(_RANDOM_CHECKS)
 
 
 def _run_random_checks(identity_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
     rng = random.Random((config.seed, identity_id).__repr__())
-    out = []
-    if identity_id == "basis-roundtrip":
-        for n in range(config.max_degree + 1):
-            coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(n + 1)]
-            form = BernsteinForm(n, coeffs)
-            back = to_bernstein(to_monomial(form), n)
-            if mutated:
-                back = BernsteinForm(n, [back.coeffs[0] + 1, *back.coeffs[1:]])
-            passed = back == form
-            witness = None
-            if not passed:
-                idx = next(i for i, (a, b) in enumerate(zip(form.coeffs, back.coeffs)) if a != b)
-                witness = Witness(
-                    lhs=scalar_str(form.coeffs[idx]),
-                    rhs=scalar_str(back.coeffs[idx]),
-                    monomial={"k": idx},
-                ).to_json_dict()
-            out.append(
-                {
-                    "id": identity_id,
-                    "params": {"n": n},
-                    "kind": "random",
-                    "method": "symbolic",
-                    "passed": passed,
-                    "witness": witness,
-                    "detail": None,
-                }
-            )
-    elif identity_id == "basis-eval":
-        for n in range(config.max_degree + 1):
-            for k in range(n + 1):
-                unit = BernsteinForm(n, [Fraction(i == k) for i in range(n + 1)])
-                poly = bernstein_basis(n, k)
-                passed = True
-                witness = None
-                for _ in range(_EVAL_POINTS_PER_PAIR):
-                    x = Fraction(rng.randint(0, 1000), 1001)
-                    left = eval_de_casteljau(unit, x)
-                    if mutated:
-                        left += 1
-                    right = poly.evaluate(x)
-                    if left != right:
-                        passed = False
-                        witness = Witness(
-                            lhs=scalar_str(left),
-                            rhs=scalar_str(right),
-                            point={"x": scalar_str(x)},
-                        ).to_json_dict()
-                        break
-                out.append(
-                    {
-                        "id": identity_id,
-                        "params": {"n": n, "k": k},
-                        "kind": "random",
-                        "method": "grid",
-                        "passed": passed,
-                        "witness": witness,
-                        "detail": None,
-                    }
-                )
-    return out
+    return _RANDOM_CHECKS[identity_id](rng, config.max_degree, mutated)
+
+
+# check id -> runner(id, config, mutated), in report order.  The lambdas look
+# their runner up when called, so a rebinding of the module attribute (as the
+# benchmark's tracer does) is honoured.
+_RUNNERS = {
+    check_id: runner
+    for ids, runner in (
+        (SUITE_IDS, _run_suite),
+        (("egf-closed-form",), _run_closed_form),
+        (FE_IDS, _run_functional_equation),
+        (SERIES_IDS, lambda *args: _run_series(*args)),
+        (("LAPLACE",), lambda *args: _run_laplace(*args)),
+        (RANDOM_IDS, lambda *args: _run_random_checks(*args)),
+    )
+    for check_id in ids
+}
+ALL_IDS = tuple(_RUNNERS)
 
 
 def run_verify(config: VerifyConfig, mutate: Optional[str] = None) -> CampaignReport:
@@ -332,30 +287,8 @@ def run_verify(config: VerifyConfig, mutate: Optional[str] = None) -> CampaignRe
         raise ValueError(f"unknown identity id for --mutate: {mutate!r}")
     started = time.perf_counter()
     results: list[dict] = []
-    for identity_id in config.selected():
-        mutated = mutate == identity_id
-        if identity_id in SUITE_IDS:
-            slot = DEFAULT_MUTATION[identity_id] if mutated else None
-            for params in suite_params(identity_id, config.max_degree):
-                rep = run_identity(
-                    identity_id, params, mutate=slot, grid_margin=config.grid_margin
-                )
-                results.append(_identity_entry(rep))
-        elif identity_id == "egf-closed-form":
-            for k in range(config.max_degree + 1):
-                results.append(
-                    _identity_entry(check_closed_form(k, config.egf_order, mutate=mutated), "egf")
-                )
-        elif identity_id in FE_IDS:
-            for params in fe_params(identity_id, config.max_degree):
-                rep = check_functional_equation(identity_id, params, config.egf_order, mutate=mutated)
-                results.append(_identity_entry(rep, "egf"))
-        elif identity_id in SERIES_IDS:
-            results.extend(_run_series(identity_id, config, mutated))
-        elif identity_id == "LAPLACE":
-            results.extend(_run_laplace(config, mutated))
-        elif identity_id in RANDOM_IDS:
-            results.extend(_run_random_checks(identity_id, config, mutated))
+    for check_id in config.selected():
+        results.extend(_RUNNERS[check_id](check_id, config, mutate == check_id))
     results.sort(key=lambda r: (r["id"], sorted(r["params"].items())))
     report = CampaignReport(config=config, results=results)
     report.wall_time_s = round(time.perf_counter() - started, 6)

@@ -168,13 +168,10 @@ def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
     return series.scale(v**k * Fraction(1, math.factorial(k)))
 
 
-def egf_bernstein_at(k: int, order: int, argument: Poly2) -> TruncatedEGF:
-    """Definitional series with the basis functions evaluated at a polynomial
-    argument (e.g. the product xy), coefficient-wise."""
-    return TruncatedEGF(
-        order,
-        [Poly2.coerce(bernstein_basis(n, k).compose(argument)) for n in range(order + 1)],
-    )
+def egf_bernstein_at(k: int, order: int) -> TruncatedEGF:
+    """Definitional series with the basis functions evaluated at the product
+    xy, coefficient-wise."""
+    return TruncatedEGF(order, [bernstein_basis(n, k).at_xy() for n in range(order + 1)])
 
 
 def egf_exp_affine(c: CoeffLike, order: int) -> TruncatedEGF:
@@ -268,7 +265,7 @@ def _fe_g3(order: int, k: int):
 
 
 def _fe_sub(order: int, j: int):
-    lhs = egf_bernstein_at(j, order, _X * _Y)
+    lhs = egf_bernstein_at(j, order)
     rhs = egf_bernstein(j, order).substitute_t(_Y) * egf_exp_affine(1 - _Y, order)
     return lhs, rhs
 
@@ -355,20 +352,7 @@ def check_functional_equation(
         if value < 0:
             raise ValueError(f"{fe_id} parameter {name} must be nonnegative")
     lhs, rhs = builder(order, **values)
-    if mutate:
-        rhs = rhs.scale(2)
-    ok, mismatch = egf_equal(lhs, rhs)
-    if ok:
-        return IdentityReport(fe_id, values, True, METHOD_SYMBOLIC)
-    n, _diff = mismatch
-    la, rb = lhs.coefficient(n), rhs.coefficient(n)
-    (i, j), _ = (la - rb).monomials()[0]
-    witness = Witness(
-        lhs=scalar_str(la.coefficient(i, j)),
-        rhs=scalar_str(rb.coefficient(i, j)),
-        monomial={"t": n, "x": i, "y": j},
-    )
-    return IdentityReport(fe_id, values, False, METHOD_SYMBOLIC, witness)
+    return _verdict(fe_id, values, lhs, rhs, mutate)
 
 
 def check_closed_form(k: int, order: int, mutate: bool = False) -> IdentityReport:
@@ -377,17 +361,24 @@ def check_closed_form(k: int, order: int, mutate: bool = False) -> IdentityRepor
         raise ValueError("index k must be nonnegative")
     lhs = egf_bernstein(k, order)
     rhs = egf_bernstein_closed(k, order)
+    return _verdict("egf-closed-form", {"k": k}, lhs, rhs, mutate)
+
+
+def _verdict(
+    check_id: str, params: Mapping[str, int], lhs: TruncatedEGF, rhs: TruncatedEGF, mutate: bool
+) -> IdentityReport:
+    """Compare two series (the right side doubled when `mutate`); a failure
+    is witnessed by the first differing monomial t^n x^i y^j."""
     if mutate:
         rhs = rhs.scale(2)
     ok, mismatch = egf_equal(lhs, rhs)
     if ok:
-        return IdentityReport("egf-closed-form", {"k": k}, True, METHOD_SYMBOLIC)
-    n, _diff = mismatch
-    la, rb = lhs.coefficient(n), rhs.coefficient(n)
-    (i, j), _ = (la - rb).monomials()[0]
+        return IdentityReport(check_id, params, True, METHOD_SYMBOLIC)
+    n, diff = mismatch
+    (i, j), _ = diff.monomials()[0]
     witness = Witness(
-        lhs=scalar_str(la.coefficient(i, j)),
-        rhs=scalar_str(rb.coefficient(i, j)),
+        lhs=scalar_str(lhs.coefficient(n).coefficient(i, j)),
+        rhs=scalar_str(rhs.coefficient(n).coefficient(i, j)),
         monomial={"t": n, "x": i, "y": j},
     )
-    return IdentityReport("egf-closed-form", {"k": k}, False, METHOD_SYMBOLIC, witness)
+    return IdentityReport(check_id, params, False, METHOD_SYMBOLIC, witness)

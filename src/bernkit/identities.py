@@ -10,6 +10,10 @@ bumps that one scalar constant by +1, which must flip the verdict for at
 least one parameter tuple.  The slots double as the CI failure-injection
 path and as the sensitivity check that the comparisons cannot pass
 vacuously.
+
+One registry (`_SUITE`, at the end) holds each identity's parameter
+generator, check and mutation slots; `SUITE_IDS`, `suite_params`,
+`mutation_slots` and `run_identity` are lookups in it.
 """
 
 from __future__ import annotations
@@ -17,30 +21,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .bernstein import bernstein_basis, binomial, falling_factorial
 from .polynomials import Poly1, Poly2, scalar_str
 from .report import METHOD_GRID, IdentityReport, Witness, compare_poly1, compare_poly2
-
-SUITE_IDS = (
-    "sum",
-    "alternating-sum",
-    "subdivision-product",
-    "subdivision-affine",
-    "subdivision-trivariate",
-    "monomial",
-    "derivative",
-    "recurrence",
-    "raise-x",
-    "raise-1mx",
-    "elevation",
-    "product",
-    "two-point",
-    "tg1",
-    "tg2",
-    "tg5",
-)
 
 
 def _bump(base, slot: str, mutate: Optional[str]):
@@ -82,7 +67,7 @@ def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityR
 
 
 def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
-    lhs = Poly2.coerce(bernstein_basis(n, j).compose(Poly2.x() * Poly2.y()))
+    lhs = bernstein_basis(n, j).at_xy()
     scale = _bump(Fraction(1), "scale", mutate)
     rhs = Poly2()
     for k in range(j, n + 1):
@@ -360,62 +345,163 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
     raise ValueError(f"unknown finite-sum variant: {variant!r}")
 
 
-# --- uniform dispatch --------------------------------------------------------
+
+
+# --- the suite registry --------------------------------------------------------
+
+
+class _SuiteEntry(NamedTuple):
+    """params: degree cap -> admissible parameter tuples;
+    check: (params, mutate, grid_margin) -> report;
+    slots: params -> mutation slot names."""
+
+    params: Callable[[int], list[dict]]
+    check: Callable[[Mapping[str, int], Optional[str], int], IdentityReport]
+    slots: Callable[[Mapping[str, int]], tuple[str, ...]]
+
+
+def _indexed(*names: str) -> Callable[[int], list[dict]]:
+    """Tuples (n, i1, i2, ...) for n up to the cap, each named index in 0..n."""
+
+    def params(max_degree: int) -> list[dict]:
+        out: list[dict] = []
+        for n in range(max_degree + 1):
+            tuples = [{"n": n}]
+            for name in names:
+                tuples = [{**t, name: i} for t in tuples for i in range(n + 1)]
+            out += tuples
+        return out
+
+    return params
+
+
+def _raise_params(max_degree: int) -> list[dict]:
+    return [{**t, "d": d} for t in _indexed("k")(max_degree) for d in (1, 2, 3)]
+
+
+def _product_params(max_degree: int) -> list[dict]:
+    cap = min(max_degree, 4)
+    return [
+        {"n": n, "k1": k1, "k2": k2}
+        for n in range(max_degree + 1)
+        for k1 in range(cap + 1)
+        for k2 in range(cap + 1)
+    ]
+
+
+def _two_point_params(max_degree: int) -> list[dict]:
+    return [{"n": n, "k": k} for n in range(max_degree + 1) for k in range(n // 2 + 1)]
+
+
+def _finite_sum_params(max_degree: int) -> list[dict]:
+    return [{"n": n, "k": k} for n in range(1, max_degree + 1) for k in range(1, n + 1)]
+
+
+def _terms(first: str, lo: int, hi: int) -> tuple[str, ...]:
+    """Slot `first` followed by the slots term:lo .. term:hi."""
+    return (first,) + tuple(f"term:{k}" for k in range(lo, hi + 1))
+
+
+def _finite_sum(variant: str, slot: str) -> _SuiteEntry:
+    return _SuiteEntry(
+        _finite_sum_params,
+        lambda p, m, g: verify_finite_sum(variant, p["n"], p["k"], mutate=m),
+        lambda p: (slot,),
+    )
+
+
+# Every suite identity, in campaign order.  Adding one means one entry here
+# plus its branch in `oracle.oracle_verify`.  A campaign-level `--mutate`
+# bumps the first slot of each parameter tuple.
+_SUITE = {
+    "sum": _SuiteEntry(
+        _indexed(),
+        lambda p, m, g: verify_sum(p["n"], mutate=m),
+        lambda p: ("rhs-const",),
+    ),
+    "alternating-sum": _SuiteEntry(
+        _indexed(),
+        lambda p, m, g: verify_alternating_sum(p["n"], mutate=m),
+        lambda p: ("base-const", "base-slope"),
+    ),
+    "subdivision-product": _SuiteEntry(
+        _indexed("j"),
+        lambda p, m, g: verify_subdivision("product", p["n"], p["j"], mutate=m),
+        lambda p: _terms("scale", p["j"], p["n"]),
+    ),
+    "subdivision-affine": _SuiteEntry(
+        _indexed("j"),
+        lambda p, m, g: verify_subdivision("affine", p["n"], p["j"], mutate=m),
+        lambda p: _terms("scale", 0, p["j"]),
+    ),
+    "subdivision-trivariate": _SuiteEntry(
+        _indexed("j"),
+        lambda p, m, g: verify_subdivision("trivariate", p["n"], p["j"], mutate=m, grid_margin=g),
+        lambda p: _terms("scale", 0, p["n"]),
+    ),
+    "monomial": _SuiteEntry(
+        _indexed("l"),
+        lambda p, m, g: verify_monomial(p["n"], p["l"], mutate=m),
+        lambda p: _terms("scale", p["l"], p["n"]),
+    ),
+    "derivative": _SuiteEntry(
+        _indexed("k", "l"),
+        lambda p, m, g: verify_derivative(p["n"], p["k"], p["l"], mutate=m),
+        lambda p: _terms("prefactor", 0, p["l"]),
+    ),
+    "recurrence": _SuiteEntry(
+        _indexed("k", "v"),
+        lambda p, m, g: verify_recurrence(p["n"], p["k"], p["v"], mutate=m),
+        lambda p: _terms("scale", 0, p["v"]),
+    ),
+    "raise-x": _SuiteEntry(
+        _raise_params,
+        lambda p, m, g: verify_degree_ops("raise-x", p["n"], p["k"], p["d"], mutate=m),
+        lambda p: ("prefactor",),
+    ),
+    "raise-1mx": _SuiteEntry(
+        _raise_params,
+        lambda p, m, g: verify_degree_ops("raise-1mx", p["n"], p["k"], p["d"], mutate=m),
+        lambda p: ("prefactor",),
+    ),
+    "elevation": _SuiteEntry(
+        _indexed("k"),
+        lambda p, m, g: verify_degree_ops("elevation", p["n"], p["k"], 1, mutate=m),
+        lambda p: ("prefactor", "term:0", "term:1"),
+    ),
+    "product": _SuiteEntry(
+        _product_params,
+        lambda p, m, g: verify_product(p["n"], p["k1"], p["k2"], mutate=m),
+        lambda p: _terms("prefactor", 0, p["n"]),
+    ),
+    "two-point": _SuiteEntry(
+        _two_point_params,
+        lambda p, m, g: verify_two_point(p["n"], p["k"], mutate=m),
+        lambda p: _terms("prefactor", 0, p["n"]),
+    ),
+    "tg1": _finite_sum("tg1", "rhs-const"),
+    "tg2": _finite_sum("tg2", "rhs-const"),
+    "tg5": _finite_sum("tg5", "branch-const"),
+}
+
+SUITE_IDS = tuple(_SUITE)
+
+
+def _entry(identity_id: str) -> _SuiteEntry:
+    try:
+        return _SUITE[identity_id]
+    except KeyError:
+        raise ValueError(f"unknown identity id: {identity_id!r}") from None
+
+
+def suite_params(identity_id: str, max_degree: int) -> list[dict]:
+    """Admissible parameter tuples for one suite identity, degree-capped."""
+    return _entry(identity_id).params(max_degree)
 
 
 def mutation_slots(identity_id: str, params: Mapping[str, int]) -> tuple[str, ...]:
     """Slot names valid for one identity at one parameter tuple."""
-    n = params.get("n", 0)
-    if identity_id == "sum":
-        return ("rhs-const",)
-    if identity_id == "alternating-sum":
-        return ("base-const", "base-slope")
-    if identity_id == "subdivision-product":
-        return ("scale",) + tuple(f"term:{k}" for k in range(params["j"], n + 1))
-    if identity_id == "subdivision-affine":
-        return ("scale",) + tuple(f"term:{k}" for k in range(params["j"] + 1))
-    if identity_id == "subdivision-trivariate":
-        return ("scale",) + tuple(f"term:{k}" for k in range(n + 1))
-    if identity_id == "monomial":
-        return ("scale",) + tuple(f"term:{k}" for k in range(params["l"], n + 1))
-    if identity_id == "derivative":
-        return ("prefactor",) + tuple(f"term:{j}" for j in range(params["l"] + 1))
-    if identity_id == "recurrence":
-        return ("scale",) + tuple(f"term:{j}" for j in range(params["v"] + 1))
-    if identity_id in ("raise-x", "raise-1mx"):
-        return ("prefactor",)
-    if identity_id == "elevation":
-        return ("prefactor", "term:0", "term:1")
-    if identity_id in ("product", "two-point"):
-        return ("prefactor",) + tuple(f"term:{j}" for j in range(n + 1))
-    if identity_id in ("tg1", "tg2"):
-        return ("rhs-const",)
-    if identity_id == "tg5":
-        return ("branch-const",)
-    raise ValueError(f"unknown identity id: {identity_id!r}")
-
-
-DEFAULT_MUTATION = {identity_id: None for identity_id in SUITE_IDS}
-DEFAULT_MUTATION.update(
-    {
-        "sum": "rhs-const",
-        "alternating-sum": "base-const",
-        "subdivision-product": "scale",
-        "subdivision-affine": "scale",
-        "subdivision-trivariate": "scale",
-        "monomial": "scale",
-        "derivative": "prefactor",
-        "recurrence": "scale",
-        "raise-x": "prefactor",
-        "raise-1mx": "prefactor",
-        "elevation": "prefactor",
-        "product": "prefactor",
-        "two-point": "prefactor",
-        "tg1": "rhs-const",
-        "tg2": "rhs-const",
-        "tg5": "branch-const",
-    }
-)
+    return _entry(identity_id).slots(params)
 
 
 def run_identity(
@@ -425,38 +511,9 @@ def run_identity(
     mutate: Optional[str] = None,
     grid_margin: int = 1,
 ) -> IdentityReport:
-    """Dispatch one identity check by id; `mutate` names a slot from
+    """Run one identity check by id; `mutate` names a slot from
     `mutation_slots` (validated) to bump by +1."""
-    if mutate is not None and mutate not in mutation_slots(identity_id, params):
+    entry = _entry(identity_id)
+    if mutate is not None and mutate not in entry.slots(params):
         raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {dict(params)}")
-    if identity_id == "sum":
-        return verify_sum(params["n"], mutate=mutate)
-    if identity_id == "alternating-sum":
-        return verify_alternating_sum(params["n"], mutate=mutate)
-    if identity_id == "subdivision-product":
-        return verify_subdivision("product", params["n"], params["j"], mutate=mutate)
-    if identity_id == "subdivision-affine":
-        return verify_subdivision("affine", params["n"], params["j"], mutate=mutate)
-    if identity_id == "subdivision-trivariate":
-        return verify_subdivision(
-            "trivariate", params["n"], params["j"], mutate=mutate, grid_margin=grid_margin
-        )
-    if identity_id == "monomial":
-        return verify_monomial(params["n"], params["l"], mutate=mutate)
-    if identity_id == "derivative":
-        return verify_derivative(params["n"], params["k"], params["l"], mutate=mutate)
-    if identity_id == "recurrence":
-        return verify_recurrence(params["n"], params["k"], params["v"], mutate=mutate)
-    if identity_id == "raise-x":
-        return verify_degree_ops("raise-x", params["n"], params["k"], params["d"], mutate=mutate)
-    if identity_id == "raise-1mx":
-        return verify_degree_ops("raise-1mx", params["n"], params["k"], params["d"], mutate=mutate)
-    if identity_id == "elevation":
-        return verify_degree_ops("elevation", params["n"], params["k"], 1, mutate=mutate)
-    if identity_id == "product":
-        return verify_product(params["n"], params["k1"], params["k2"], mutate=mutate)
-    if identity_id == "two-point":
-        return verify_two_point(params["n"], params["k"], mutate=mutate)
-    if identity_id in ("tg1", "tg2", "tg5"):
-        return verify_finite_sum(identity_id, params["n"], params["k"], mutate=mutate)
-    raise ValueError(f"unknown identity id: {identity_id!r}")
+    return entry.check(params, mutate, grid_margin)

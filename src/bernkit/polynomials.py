@@ -13,10 +13,56 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._backend import conv1, conv2
-
 ExactScalar = Fraction
 ScalarLike = Union[int, Fraction]
+
+
+def conv1(a, b):
+    """Dense 1-D convolution: coefficients of the product polynomial.
+
+    Works over any commutative ring elements (plain ints here in practice).
+    Empty input means the zero polynomial and yields an empty output.
+    """
+    na, nb = len(a), len(b)
+    if na == 0 or nb == 0:
+        return []
+    out = [0] * (na + nb - 1)
+    for i in range(na):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(nb):
+            bj = b[j]
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def conv2(a, b):
+    """Dense 2-D convolution of rectangular coefficient grids.
+
+    `a[i][j]` is the coefficient of x^i y^j; rows must all share one width.
+    Returns a rectangular list-of-lists grid.
+    """
+    ra, rb = len(a), len(b)
+    if ra == 0 or rb == 0:
+        return []
+    wa, wb = len(a[0]), len(b[0])
+    out = [[0] * (wa + wb - 1) for _ in range(ra + rb - 1)]
+    for i in range(ra):
+        arow = a[i]
+        for p in range(wa):
+            aip = arow[p]
+            if not aip:
+                continue
+            for j in range(rb):
+                brow = b[j]
+                orow = out[i + j]
+                for q in range(wb):
+                    bjq = brow[q]
+                    if bjq:
+                        orow[p + q] = orow[p + q] + aip * bjq
+    return out
 
 
 def as_scalar(value: ScalarLike | str) -> Fraction:
@@ -194,6 +240,14 @@ class Poly1:
         if not self._num:
             return Poly2._raw([], 1)
         return Poly2._raw([list(self._num)], self._den)
+
+    def at_xy(self) -> "Poly2":
+        """Substitute the product xy for x: coefficient i lands on grid entry (i, i)."""
+        size = len(self._num)
+        rows = [[0] * size for _ in range(size)]
+        for i, v in enumerate(self._num):
+            rows[i][i] = v
+        return Poly2._raw(rows, self._den)
 
     def monomials(self):
         """Nonzero terms as (exponent, coefficient), lowest degree first."""

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ._backend import simpson_exp_monomial
 from .polynomials import ScalarLike, as_scalar, scalar_str
 
 SERIES_IDS = ("TG3", "TG4")
@@ -199,6 +198,30 @@ class LaplaceResult:
             "exact": scalar_str(self.exact),
             "relative_error": self.relative_error,
         }
+
+
+def simpson_exp_monomial(k, x, T, steps):
+    """Composite Simpson approximation of the integral of t^k e^(-x t) on [0, T].
+
+    `steps` is rounded up to the next even number.
+    """
+    n = steps + (steps % 2)
+    h = T / n
+    exp = math.exp
+    acc = 0.0
+    for i in range(n + 1):
+        t = i * h
+        tp = 1.0
+        for _ in range(k):
+            tp *= t
+        f = tp * exp(-x * t)
+        if i == 0 or i == n:
+            acc += f
+        elif i % 2 == 1:
+            acc += 4.0 * f
+        else:
+            acc += 2.0 * f
+    return acc * h / 3.0
 
 
 def laplace_monomial(

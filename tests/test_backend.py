@@ -1,82 +1,26 @@
-"""The compiled kernels and the pure-Python kernels must agree exactly
-(convolutions) or to rounding error (quadrature)."""
+"""The pure-Python kernels: dense convolution (in `polynomials`) and the
+Simpson quadrature loop (in `series`)."""
 
-import importlib.util
 import math
-import random
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from bernkit import _kernels_py
-from bernkit._backend import backend_name
-
-_spec = importlib.util.find_spec("bernkit._ckernels")
-HAVE_COMPILED = _spec is not None
-if HAVE_COMPILED:
-    from bernkit import _ckernels
-
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-
-ints = st.integers(min_value=-(10**12), max_value=10**12)
-
-
-def test_backend_reports_a_known_name():
-    assert backend_name() in ("c", "python")
+from bernkit.polynomials import conv1, conv2
+from bernkit.series import simpson_exp_monomial
 
 
 class TestPythonKernels:
     def test_conv1_known_product(self):
         # (1 + 2x)(3 + x) = 3 + 7x + 2x^2
-        assert _kernels_py.conv1([1, 2], [3, 1]) == [3, 7, 2]
+        assert conv1([1, 2], [3, 1]) == [3, 7, 2]
 
     def test_conv1_empty_operand(self):
-        assert _kernels_py.conv1([], [1, 2]) == []
-        assert _kernels_py.conv1([1], []) == []
+        assert conv1([], [1, 2]) == []
+        assert conv1([1], []) == []
 
     def test_conv2_known_product(self):
         # (x)(y) = xy
-        assert _kernels_py.conv2([[0], [1]], [[0, 1]]) == [[0, 0], [0, 1]]
+        assert conv2([[0], [1]], [[0, 1]]) == [[0, 0], [0, 1]]
 
     def test_simpson_constant_integrand(self):
         # integral of e^(-t) over [0, 20] = 1 - e^-20
-        approx = _kernels_py.simpson_exp_monomial(0, 1.0, 20.0, 2_000)
+        approx = simpson_exp_monomial(0, 1.0, 20.0, 2_000)
         assert abs(approx - (1 - math.exp(-20))) < 1e-10
-
-
-@needs_compiled
-class TestKernelTwins:
-    @given(st.lists(ints, max_size=12), st.lists(ints, max_size=12))
-    def test_conv1_matches(self, a, b):
-        assert _ckernels.conv1(a, b) == _kernels_py.conv1(a, b)
-
-    def test_conv1_matches_on_big_integers(self):
-        rng = random.Random(5)
-        a = [rng.randint(-(10**40), 10**40) for _ in range(30)]
-        b = [rng.randint(-(10**40), 10**40) for _ in range(25)]
-        assert _ckernels.conv1(a, b) == _kernels_py.conv1(a, b)
-
-    def test_conv2_matches(self):
-        rng = random.Random(9)
-        for _ in range(25):
-            ra, ca = rng.randint(1, 5), rng.randint(1, 5)
-            rb, cb = rng.randint(1, 5), rng.randint(1, 5)
-            a = [[rng.randint(-99, 99) for _ in range(ca)] for _ in range(ra)]
-            b = [[rng.randint(-99, 99) for _ in range(cb)] for _ in range(rb)]
-            assert _ckernels.conv2(a, b) == _kernels_py.conv2(a, b)
-
-    def test_conv2_empty(self):
-        assert _ckernels.conv2([], [[1]]) == []
-
-    @pytest.mark.parametrize("k,x", [(0, 1.0), (2, 0.5), (4, 2.0)])
-    def test_simpson_matches_to_rounding(self, k, x):
-        T = 40.0 / x
-        py = _kernels_py.simpson_exp_monomial(k, x, T, 10_000)
-        cy = _ckernels.simpson_exp_monomial(k, x, T, 10_000)
-        assert py == pytest.approx(cy, rel=1e-12)
-
-    def test_odd_step_counts_rounded_the_same_way(self):
-        py = _kernels_py.simpson_exp_monomial(1, 1.0, 10.0, 999)
-        cy = _ckernels.simpson_exp_monomial(1, 1.0, 10.0, 999)
-        assert py == pytest.approx(cy, rel=1e-12)

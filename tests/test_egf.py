@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernkit.bernstein import bernstein_basis
-from bernkit.campaign import VerifyConfig, emit_report, run_verify
+from bernkit.campaign import ALL_IDS, VerifyConfig, emit_report, run_verify
 from bernkit.egf import (
     FE_IDS,
     TruncatedEGF,
@@ -326,3 +326,151 @@ def test_report_digest_is_unchanged(mutate):
     report.wall_time_s = 0.0
     digest = hashlib.sha256(emit_report(report).encode()).hexdigest()
     assert digest == GOLDEN_REPORT_DIGESTS[mutate]
+
+# Per check id: sha256 of its single-id report (max_degree=4, egf_order=8,
+# wall_time_s zeroed), clean and with that id mutated.  Recorded from the
+# per-id dispatch chains that the check registries replaced.
+GOLDEN_CHECK_DIGESTS = {
+    "sum": (
+        "f30614321bf4cbf1365b4cb0b873778598f3e1bf41c4dda8af3a334aeceac002",
+        "56cea24a4f97ce1ba9b75f1c8e6dd0324ca3a1aaf8624058caffb0f1403987f3",
+    ),
+    "alternating-sum": (
+        "f7b4770a3f36178d8020fe51b3df3bb356be4177be2eb5a6786cc9d6ce26097f",
+        "68f8b84a8cc924d149b26e0f0741ff5395b1c5a4bd5763aabb651d0ae204cc46",
+    ),
+    "subdivision-product": (
+        "33a6e6afc42723fbb2fdbd8bb27d29b91a814fc2ca4484679aa258eadca6a396",
+        "6dd86430c449567aa1e7cb1c6161fcee6b5ccf16f918c1afe4e827bf07a0945b",
+    ),
+    "subdivision-affine": (
+        "c66c48efdbdb2552938a69992e7bac0423cf2120b83d063837911c9f1c3f652d",
+        "4cf8a2eb90e7e3314a6f16ecf09d1201edf314c814f770d70390eb260ea596b1",
+    ),
+    "subdivision-trivariate": (
+        "419059e4f920743d6f4898c3a5c1766e2ca88b30552a3553fb1f825f2d8ab784",
+        "2fdd920b4de7510fad9fb4f012c91a727e6d389046bcfa51c2a98a2f60cbec5a",
+    ),
+    "monomial": (
+        "5b93497e04e4cf082a36a4034b39ef977bc41c676ef70b5e18e2f7570b84d02b",
+        "5188f52c7fc6797fa5d8c31b22f238892bc491331fc92b042d68d5bb868beec4",
+    ),
+    "derivative": (
+        "2f4dd6a39daa1ff79388b781d83439fd9ff6a5ade8c907f13c73097f22a2e61b",
+        "634d9da110fa59a0a704a30d8e3c8f573936e1154352eaa0417c9c7b8bfd0c91",
+    ),
+    "recurrence": (
+        "c31835aec34ecadbf13c0ec54b248f89847e5a9b62e9a75c8b4360df8b53e5b6",
+        "4ec3822a9bd2af619550a240011d66b80f1593cb907d657bc3422859413c4f9f",
+    ),
+    "raise-x": (
+        "b697c7f30c76c40e4557741550a220da3cfc63d0fb2d9281dd6f509aa46ca5d8",
+        "bfbb37f75cbe8c0b23330274890441f08dcd67c5c3b4c00657923c2e2449368a",
+    ),
+    "raise-1mx": (
+        "d27eae617d329ed99a7e399c32192a73dbf08fe1f5027f7a991a8523a80c0569",
+        "a498b1a76d09baabd8c11b7d1d32cd9ac738c221dc2b80171c21e210971def49",
+    ),
+    "elevation": (
+        "4af99bf5e0c0604363c12a41f49c133a12a3405ebfe77c16dd543fd6be6172da",
+        "25ec83dd6d0f9ab88682c8860ff1a3636b3cd5d2bc56c0864bd593711b3ec048",
+    ),
+    "product": (
+        "6e75720763814e0678b20b4889f7d78abed98100265fb3fbf4f3dc65d8873df5",
+        "c29d47fe1c24017e0de63e33f91ae5495b3a65b8472b5007672eed77f295e4da",
+    ),
+    "two-point": (
+        "cc3622435c2d3b6ed1f43df02604abe815eda42e2d71c565a3e9d4cc9eba4c2c",
+        "e404fc38c894c5e379429cc3a261af446fab3ecf7d858faf0be0121e2496a8f0",
+    ),
+    "tg1": (
+        "ac1b088ef97e0ff3b843113336d46e5ae75689ea8e71743d59700d2733a32ea5",
+        "ab577c65fcd7f7a0c6361f8dd0034c2c0863e829c60cf32c43caa6dae115bd63",
+    ),
+    "tg2": (
+        "0c1b17199007fbf234932a948b0b6aff8f48d00a786bd3690f403d6944a55979",
+        "2157f43c8648771025c27aaa83f04e1f3e977cb9ac6894657b547d2d067f1fe4",
+    ),
+    "tg5": (
+        "ed9556e89522b3de6223dc5008d02c3038feedff818790c00f9851c6079add5d",
+        "7a7d5f9078464e08cd5bd71f33eb595be1d426c11ab8b7afb1436f8d663c9286",
+    ),
+    "egf-closed-form": (
+        "fe1ae9bcc0da5566f87fe940695c4d9ddcd56cc36dfd2344a79254876fe00b7a",
+        "f2b94d6394038de7c3ba97500c9b9984d669e6688afc82b1621c9da812413310",
+    ),
+    "FE-SUM": (
+        "5229a08ec593a4ee188da050a5fcbc4fcbec2ac69be05531cbfe683849b9c1bd",
+        "d094ab7e3f289fc3d3c8720b83675ca3ed03bdc6cc301e723854b013eff9185c",
+    ),
+    "FE-ALT": (
+        "ff6fed64df5196f9ab94fba36cfbc0361041c0372327d98862e4d51f10e62cf4",
+        "43fcd7ca04c8b2bc4b50582d9588c4342ce7f88f3d25824495152deeade65640",
+    ),
+    "FE-G1": (
+        "5b820935e397e98e41ccb944cf83bfa650fab824a5c50424dcf12fd202015572",
+        "f1388b39ac7522d45f7584184b2036f3fe13aa721ea2771e24e8251812388fa0",
+    ),
+    "FE-G2": (
+        "3b8de0804bf465ca4540afcc31620ee7873b76a4b6a57a23d08a843b27ca79e7",
+        "39fbd1f6f8596e34c2e0d40c25b8c40f2981bce02e91900de6abbb0fbb62a2a6",
+    ),
+    "FE-G3": (
+        "42fd3bb56886883ddab9f470c07d3761b7292378e9759cb031a3b450cef5a4bc",
+        "97593403ca3844726318f11fa7ff076dc75cd89b90bf6ac4c7f98dc60181f470",
+    ),
+    "FE-SUB": (
+        "a3b811f3c3992b5f7ab599d377108cec400a98b8f4c7402ce05ca0df4e102198",
+        "70daf67e24f37744e46d94d2676de650490bbf32a15a134e5ecdd3fb7f317886",
+    ),
+    "FE-MONO": (
+        "d8cee2f63bf25b27b728a3b83a4622a132e83e16c4e8a2bcea2c1b42a6a8020b",
+        "eaf8d062a5a5e6f94e88d40a01580ceb97828c0a525138f43a57b7f626dc0a34",
+    ),
+    "FE-DIFFX": (
+        "5b597a71641e3b5c9a312466d0c5eec4e987832ca3a0ef1328dbf097a8bf54ba",
+        "53f11603d54e66dd8b8166b6ddb5bab197c962b0fb47dd78e05f22162a857b44",
+    ),
+    "FE-DIFFT": (
+        "823b2a7f16d188c308886e6dba16044f64e63c823549cb312f761d9f56770ea2",
+        "538b49f5bc637db5ea2601c02ef3b8fafbe04c6aa00d9d72c38a77689602508f",
+    ),
+    "FE-PROD": (
+        "a8ab47845bd82ddcc8875031b81cb37dd153a16cf7b77e6dc1bb375d304e9ed0",
+        "64d5eac1e4bec1e96a2c17d7a6931467c35fe2be17639c955ce35b4621213e90",
+    ),
+    "FE-XY": (
+        "b6f5f5f095ad585121c40d79a4a2242f5653263d70b411625930a067786bfd9e",
+        "ea99e7a8696c9ce1ecf71b15e5987f9a3a28f75f1936fd47140bfff06e20efa0",
+    ),
+    "TG3": (
+        "962d833b4aa2beed84d1c812539eb245b7b75a06f136e3ec264a2044b978f499",
+        "a0ad212b5ab78c1e290681d43520243afac3edd86a4872bb20e6e69a9de0a9f0",
+    ),
+    "TG4": (
+        "336ab8a3be3673f1eca1fd49084723c7c9b494bc88685924ef6379c8c74742f8",
+        "73336577561257ff3cfb9582a48306489d6c4304752deef0f269750d14d62080",
+    ),
+    "LAPLACE": (
+        "1313a2cfd5ddd6307a95fa5bfaf9b10ce3b35031e90a08fd9bbf4904c408c093",
+        "c5144e5bd24c0ff03c6d634660a2e89013b80d4407f3d8f1f636e5666dcfbeeb",
+    ),
+    "basis-roundtrip": (
+        "9f7743093c5e38d523f9d1e44ce46f39fe4c897962c15b8d009245678bbdc012",
+        "6a3c929be8834ab649db545dcf99b00230dcdf03a52c4ce36d7a7b995cea9eff",
+    ),
+    "basis-eval": (
+        "2c0759e6d4837dbe3fb0ab51b9c3b256f941ee1582a6f594c0ce51470325364d",
+        "6fc2f4071a954d85a9b5e71b2a32f7d4783f6ed6a1cdba1369b9816c3e477f1b",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutated", [False, True], ids=["clean", "mutated"])
+@pytest.mark.parametrize("check_id", ALL_IDS)
+def test_single_check_report_digest_is_unchanged(check_id, mutated):
+    config = VerifyConfig(max_degree=4, egf_order=8, identities=(check_id,))
+    report = run_verify(config, mutate=check_id if mutated else None)
+    report.wall_time_s = 0.0
+    digest = hashlib.sha256(emit_report(report).encode()).hexdigest()
+    assert digest == GOLDEN_CHECK_DIGESTS[check_id][mutated]

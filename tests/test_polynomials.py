@@ -130,6 +130,7 @@ class TestPoly1Arithmetic:
         x = Fraction(2, 7)
         composed = p.compose(q)
         assert composed.evaluate(x) == p.evaluate(q.evaluate(x))
+        assert p.at_xy() == p.compose(Poly2.x() * Poly2.y())
 
 
 class TestPoly2:
