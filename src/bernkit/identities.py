@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -132,9 +133,22 @@ def _subdivision_trivariate(n: int, j: int, mutate: Optional[str], grid_margin: 
     term_c = [2 if mutate == f"term:{k}" else 1 for k in range(n + 1)]
     cnj = binomial(n, j)
     num = list(range(1, count + 1))
+    # inner[xi][zi][k] = term_c[k] * sum_p B_p^{n-k}(x) B_{j-p}^k(z), scaled to
+    # integers; it involves x and z only, so it is built once, not at every y.
+    inner = [
+        [
+            [
+                term_c[k]
+                * sum(tx[n - k][p] * tz[k][j - p] for p in range(max(0, j - k), min(j, n - k) + 1))
+                for k in range(n + 1)
+            ]
+            for tz in tbl
+        ]
+        for tx in tbl
+    ]
     for xi in range(count):
         ix = num[xi]
-        tbl_x = tbl[xi]
+        inner_x = inner[xi]
         for yi in range(count):
             iy = num[yi]
             base = (c - iy) * ix
@@ -142,17 +156,7 @@ def _subdivision_trivariate(n: int, j: int, mutate: Optional[str], grid_margin: 
             for zi in range(count):
                 u = base + iy * num[zi]  # integer numerator of the blend over c^2
                 lhs = cnj * u**j * (c2 - u) ** (n - j)
-                tbl_z = tbl[zi]
-                rhs = 0
-                for k in range(n + 1):
-                    row_x = tbl_x[n - k]
-                    row_z = tbl_z[k]
-                    inner = 0
-                    for p in range(max(0, j - k), min(j, n - k) + 1):
-                        inner += row_x[p] * row_z[j - p]
-                    if inner:
-                        rhs += term_c[k] * ty[k] * inner
-                rhs *= scale
+                rhs = scale * sum(map(operator.mul, ty, inner_x[zi]))
                 if lhs != rhs:
                     den = c2**n
                     witness = Witness(

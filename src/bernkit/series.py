@@ -158,18 +158,31 @@ def required_terms(series_id: str, k: int, x: ScalarLike, eps: EpsLike) -> int:
     """Smallest term count whose certified tail bound is at most eps.
 
     Found by searching the bound, not by inspecting computed terms; the
-    bound is nonincreasing, and the search starts at the first index with
-    any nonzero term.
+    search starts at the first index with any nonzero term.  The bound is
+    nonincreasing in the term count, so the answer is bracketed by doubling
+    steps and then bisected.
     """
     xq = as_scalar(x)
     _check_domain(series_id, k, xq)
     epsq = Fraction(eps)
     if epsq <= 0:
         raise ValueError("eps must be positive")
-    n = k
-    while tail_bound(series_id, k, xq, n) > epsq:
-        n += 1
-    return n
+
+    def met(n: int) -> bool:
+        return tail_bound(series_id, k, xq, n) <= epsq
+
+    # The bound is never met at lo (k - 1 lies below the search range);
+    # once the doubling stops it is met at hi, and bisection keeps both.
+    lo, hi, step = k - 1, k, 1
+    while not met(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if met(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """The identity suite: spec-level examples, error paths, and witnesses."""
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from bernkit.bernstein import bernstein_basis
 from bernkit.identities import (
     SUITE_IDS,
+    grid_nodes,
     mutation_slots,
     run_identity,
     verify_alternating_sum,
@@ -20,7 +24,7 @@ from bernkit.identities import (
     verify_sum,
     verify_two_point,
 )
-from bernkit.polynomials import Poly1, Poly2
+from bernkit.polynomials import Poly1, Poly2, scalar_str
 from bernkit.report import compare_poly1
 
 
@@ -104,6 +108,50 @@ class TestSubdivision:
         assert not rep.passed
         assert rep.witness.point is not None
         assert set(rep.witness.point) == {"x", "y", "z"}
+
+    @pytest.mark.parametrize("grid_margin", [0, 1])
+    def test_trivariate_witness_is_first_differing_grid_point(self, grid_margin):
+        # Both sides of B_j^n((1-y)x + yz)
+        #   = sum_k B_k^n(y) sum_p B_p^{n-k}(x) B_{j-p}^k(z),
+        # evaluated directly in Fractions; the suite must report the first
+        # grid point, in x, y, z loop order, where they differ.
+        @functools.cache
+        def b(m, p, t):
+            return math.comb(m, p) * t**p * (1 - t) ** (m - p) if 0 <= p <= m else 0
+
+        for n in range(6):
+            for j in range(n + 1):
+                params = {"n": n, "j": j}
+                nodes = grid_nodes(n, grid_margin)
+                for slot in (None, *mutation_slots("subdivision-trivariate", params)):
+                    scale = 2 if slot == "scale" else 1
+                    term_c = [2 if slot == f"term:{k}" else 1 for k in range(n + 1)]
+                    expected = None
+                    for x, y, z in itertools.product(nodes, repeat=3):
+                        lhs = b(n, j, (1 - y) * x + y * z)
+                        rhs = scale * sum(
+                            term_c[k]
+                            * b(n, k, y)
+                            * sum(b(n - k, p, x) * b(k, j - p, z) for p in range(j + 1))
+                            for k in range(n + 1)
+                        )
+                        if lhs != rhs:
+                            expected = {"x": x, "y": y, "z": z}, lhs, rhs
+                            break
+                    rep = run_identity(
+                        "subdivision-trivariate", params, mutate=slot, grid_margin=grid_margin
+                    )
+                    if slot is None:
+                        assert expected is None and rep.passed, params
+                        continue
+                    assert expected is not None, (params, slot)
+                    point, lhs, rhs = expected
+                    assert not rep.passed
+                    assert rep.witness.point == {v: scalar_str(t) for v, t in point.items()}, (
+                        params,
+                        slot,
+                    )
+                    assert (rep.witness.lhs, rep.witness.rhs) == (scalar_str(lhs), scalar_str(rhs))
 
 
 class TestMonomial:

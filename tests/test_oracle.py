@@ -1,12 +1,16 @@
 """Suite-versus-oracle agreement, mutation sensitivity, grid sufficiency,
 and cross-engine consistency with the generating-function catalog."""
 
+from collections import Counter
+
 import pytest
 
+from bernkit import oracle
 from bernkit.campaign import fe_params, suite_params
 from bernkit.egf import check_functional_equation
 from bernkit.identities import SUITE_IDS, mutation_slots, run_identity
 from bernkit.oracle import oracle_verify
+from bernkit.polynomials import Poly1
 
 # Generating-function catalog entry <-> suite identity carrying the same
 # coefficient-wise statement.
@@ -79,3 +83,58 @@ def test_cross_engine_verdicts_match(fe_id, suite_id):
 def test_oracle_rejects_unknown_identity():
     with pytest.raises(ValueError):
         oracle_verify("nonsense", {"n": 1})
+
+
+@pytest.mark.parametrize(
+    "identity_id,params,mutate",
+    [
+        ("sum", {"n": 3}, "no-such-slot"),
+        ("subdivision-product", {"n": 2, "j": 3}, None),
+        ("subdivision-product", {"n": 3, "j": 1}, "term:0"),
+        ("subdivision-trivariate", {"n": 2, "j": -1}, None),
+        ("monomial", {"n": 2, "l": 3}, None),
+        ("recurrence", {"n": 2, "k": 1, "v": 3}, None),
+        ("raise-x", {"n": 2, "k": 1, "d": 0}, None),
+        ("elevation", {"n": 2, "k": 3}, None),
+        ("elevation", {"n": 2, "k": 1}, "term:2"),
+        ("two-point", {"n": 3, "k": 2}, None),
+        ("tg5", {"n": 3, "k": 0}, None),
+    ],
+)
+def test_oracle_rejects_what_the_suite_rejects(identity_id, params, mutate):
+    # A tuple out of range or a slot the identity never reads must not pass
+    # silently on either side.
+    with pytest.raises(ValueError):
+        run_identity(identity_id, params, mutate=mutate)
+    with pytest.raises(ValueError, match=r"needs|no mutation slot"):
+        oracle_verify(identity_id, params, mutate=mutate)
+
+
+def test_oracle_expands_each_basis_once_through_its_own_route(monkeypatch):
+    real = oracle.generalized_basis
+    calls = Counter()
+
+    def counting(n, k, a, b):
+        calls[(n, k)] += 1
+        return real(n, k, a, b)
+
+    def unnormalised(n, k, a, b):
+        # Drops the binomial factor: x^k (1-x)^(n-k).
+        return Poly1.monomial(k) * (1 - Poly1.x()) ** (n - k)
+
+    oracle._basis.cache_clear()
+    try:
+        monkeypatch.setattr(oracle, "generalized_basis", counting)
+        for identity_id in SUITE_IDS:
+            for params in suite_params(identity_id, 6):
+                assert oracle_verify(identity_id, params) is True
+                oracle_verify(identity_id, params, mutate=mutation_slots(identity_id, params)[0])
+        assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+        # The memo still goes through the oracle's own expansion: a wrong
+        # one there turns a true identity false.
+        monkeypatch.setattr(oracle, "generalized_basis", unnormalised)
+        oracle._basis.cache_clear()
+        assert oracle_verify("recurrence", {"n": 3, "k": 1, "v": 1}) is False
+    finally:
+        oracle._basis.cache_clear()

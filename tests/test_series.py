@@ -117,6 +117,22 @@ class TestRequiredTerms:
                     check = partial_sum(series_id, k, x, n)
                     assert check.error <= eps
 
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**9), Fraction(1, 10**15)])
+    @pytest.mark.parametrize("series_id", SERIES_IDS)
+    def test_bisection_matches_linear_search(self, series_id, eps):
+        # GRID is the x grid of both the default campaign and the
+        # series-quadrature benchmark workload.
+        for k in range(4):
+            for x in GRID[series_id]:
+                n = k
+                while tail_bound(series_id, k, x, n) > eps:
+                    n += 1
+                assert required_terms(series_id, k, x, eps) == n, (k, x)
+                # Doubling from k brackets the answer below k + 2 (n - k) + 1;
+                # bisection is sound only if the bound never rises in there.
+                bounds = [tail_bound(series_id, k, x, m) for m in range(k, k + 2 * (n - k) + 2)]
+                assert all(a >= b for a, b in zip(bounds, bounds[1:])), (k, x)
+
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             required_terms("TG3", 0, Fraction(1, 2), 0)
