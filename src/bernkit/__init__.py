@@ -34,12 +34,8 @@ from .egf import (
     check_functional_equation,
     egf_bernstein,
     egf_bernstein_closed,
-    egf_diff_t,
-    egf_diff_x,
     egf_equal,
     egf_exp_affine,
-    egf_mul,
-    egf_substitute_t,
 )
 from .identities import (
     SUITE_IDS,
@@ -85,12 +81,8 @@ __all__ = [
     "check_functional_equation",
     "egf_bernstein",
     "egf_bernstein_closed",
-    "egf_diff_t",
-    "egf_diff_x",
     "egf_equal",
     "egf_exp_affine",
-    "egf_mul",
-    "egf_substitute_t",
     "SUITE_IDS",
     "mutation_slots",
     "run_identity",

@@ -23,14 +23,15 @@ from .egf import FE_IDS, check_closed_form, check_functional_equation, fe_param_
 from .identities import SUITE_IDS, mutation_slots, run_identity, suite_params
 from .polynomials import scalar_str
 from .report import IdentityReport, Witness
-from .series import SERIES_IDS, laplace_monomial, partial_sum, required_terms
+from .series import SERIES_IDS, SHARED_K_MAX, laplace_monomial, partial_sum, required_terms
 
 _SERIES_K_MAX = 3
 _SERIES_POINTS = {
     "TG3": (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
     "TG4": (Fraction(5, 8), Fraction(3, 4), Fraction(1)),
 }
-_LAPLACE_K_MAX = 4
+# The LAPLACE powers are exactly the ones a single quadrature pass shares.
+_LAPLACE_K_MAX = SHARED_K_MAX
 _LAPLACE_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2))
 _LAPLACE_STEPS = 100_000
 _LAPLACE_RTOL = 1e-6

@@ -199,22 +199,6 @@ def egf_linear_combination(
     )
 
 
-def egf_mul(a: TruncatedEGF, b: TruncatedEGF) -> TruncatedEGF:
-    return a * b
-
-
-def egf_substitute_t(a: TruncatedEGF, s: CoeffLike) -> TruncatedEGF:
-    return a.substitute_t(s)
-
-
-def egf_diff_x(a: TruncatedEGF, l: int = 1) -> TruncatedEGF:
-    return a.diff_x(l)
-
-
-def egf_diff_t(a: TruncatedEGF, v: int = 1) -> TruncatedEGF:
-    return a.diff_t(v)
-
-
 def egf_equal(a: TruncatedEGF, b: TruncatedEGF) -> tuple[bool, Optional[tuple[int, Poly2]]]:
     """Exact coefficient equality; on failure, the smallest differing t-order
     and the coefficient difference there."""

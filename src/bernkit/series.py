@@ -14,11 +14,17 @@ diverge, so out-of-domain requests are hard errors rather than NaNs.
 `laplace_monomial` is the one deliberately floating-point operation in the
 package: a quadrature approximation of the integral of t^k e^(-x t),
 returned beside its exact closed form k!/x^(k+1) so the pair can be
-checked against each other.
+checked against each other.  One composite-Simpson pass per (x, T, steps)
+serves every power t^0..t^max(k, SHARED_K_MAX): each grid point pays one
+`exp`, and the pass results are memoised in a cache of at most
+`SIMPSON_CACHE_SIZE` entries, so callers that ask for the powers of one
+rate one at a time, in any order, still pay one pass per rate.  Each
+power's float is bit-identical to a separate loop over that power alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +33,13 @@ from typing import Union
 from .polynomials import ScalarLike, as_scalar, scalar_str
 
 SERIES_IDS = ("TG3", "TG4")
+
+# Powers t^0..t^SHARED_K_MAX share one quadrature pass (the campaign's
+# LAPLACE grid runs k over exactly this range); a larger k widens its pass.
+SHARED_K_MAX = 4
+# Bound on the memoised passes: one entry is a tuple of floats per
+# (width, x, T, steps); the campaign and the acceptance gate use three.
+SIMPSON_CACHE_SIZE = 32
 
 EpsLike = Union[int, float, str, Fraction]
 
@@ -92,29 +105,60 @@ def series_limit(series_id: str, k: int, x: Fraction) -> Fraction:
     return -(x**k) if k % 2 else x**k
 
 
-def tail_bound(series_id: str, k: int, x: ScalarLike, terms: int) -> Fraction:
-    """Certified upper bound on |sum - partial sum through index `terms`|.
+def _majorant(series_id: str, k: int, x: Fraction):
+    """(magnitude, m0, geometric) for the tail majorant of a checked series.
 
-    The term-ratio rho (m+1)/(m+1-k) decreases in m, so past the index
-    where it drops below one the tail is dominated by a geometric series
-    with the first step's ratio; the finitely many terms before that index
-    are added exactly.
+    The term-ratio rho (m+1)/(m+1-k) decreases in m; m0 is the first index
+    m >= k where it is below one, and geometric(m) bounds the whole tail
+    from index m >= m0 on by a geometric series with the ratio at m.
     """
-    xq = as_scalar(x)
-    _check_domain(series_id, k, xq)
-    rho, amp = _ratio_and_amplitude(series_id, k, xq)
+    rho, amp = _ratio_and_amplitude(series_id, k, x)
 
     def magnitude(n: int) -> Fraction:
         return amp * math.comb(n, k) * rho ** (n - k) if n >= k else Fraction(0)
+
+    def geometric(m: int) -> Fraction:
+        return magnitude(m) / (1 - rho * Fraction(m + 1, m + 1 - k))
 
     # Smallest m >= k with rho (m+1)/(m+1-k) < 1, i.e. (m+1)(1-rho) > k.
     m0 = max(k, int(Fraction(k) / (1 - rho)))
     while (m0 + 1) * (1 - rho) <= k:
         m0 += 1
+    return magnitude, m0, geometric
+
+
+def tail_bound(series_id: str, k: int, x: ScalarLike, terms: int) -> Fraction:
+    """Certified upper bound on |sum - partial sum through index `terms`|.
+
+    Past the index m0 where the term-ratio drops below one the tail is
+    dominated by a geometric series with the first step's ratio; the
+    finitely many terms before m0 are added exactly.
+    """
+    xq = as_scalar(x)
+    _check_domain(series_id, k, xq)
+    magnitude, m0, geometric = _majorant(series_id, k, xq)
     start = max(terms + 1, m0)
     head = sum((magnitude(n) for n in range(terms + 1, start)), Fraction(0))
-    ratio = rho * Fraction(start + 1, start + 1 - k)
-    return head + magnitude(start) / (1 - ratio)
+    return head + geometric(start)
+
+
+def _tail_bounds(series_id: str, k: int, x: Fraction, max_terms: int) -> list[Fraction]:
+    """`tail_bound` for every term count 0..max_terms, in one pass.
+
+    From n = m0 - 1 on, the bound is the geometric majorant at n + 1;
+    below that it is the fixed majorant at m0 plus the exact magnitudes
+    n+1..m0-1, a suffix sum that grows by one term per step down.
+    """
+    magnitude, m0, geometric = _majorant(series_id, k, x)
+    upper = [geometric(n + 1) for n in range(max(m0 - 1, 0), max_terms + 1)]
+    lower = []
+    tail = geometric(m0)
+    for n in range(m0 - 2, -1, -1):
+        tail += magnitude(n + 1)
+        if n <= max_terms:
+            lower.append(tail)
+    lower.reverse()
+    return lower + upper
 
 
 def partial_sum(series_id: str, k: int, x: ScalarLike, terms: int) -> SeriesCheck:
@@ -139,18 +183,17 @@ def partial_sum(series_id: str, k: int, x: ScalarLike, terms: int) -> SeriesChec
 
 
 def series_sweep(series_id: str, k: int, x: ScalarLike, max_terms: int) -> list[SeriesCheck]:
-    """All partial sums through 0..max_terms, sharing one accumulation pass."""
+    """All partial sums through 0..max_terms, sharing one accumulation pass
+    and one pass over the tail bounds."""
     xq = as_scalar(x)
     _check_domain(series_id, k, xq)
     out = []
     total = Fraction(0)
     limit = series_limit(series_id, k, xq)
-    for n in range(max_terms + 1):
+    for n, bound in enumerate(_tail_bounds(series_id, k, xq, max_terms)):
         if n >= k:
             total += _term(series_id, k, xq, n)
-        out.append(
-            SeriesCheck(series_id, k, xq, n, total, limit, tail_bound(series_id, k, xq, n))
-        )
+        out.append(SeriesCheck(series_id, k, xq, n, total, limit, bound))
     return out
 
 
@@ -213,28 +256,44 @@ class LaplaceResult:
         }
 
 
-def simpson_exp_monomial(k, x, T, steps):
-    """Composite Simpson approximation of the integral of t^k e^(-x t) on [0, T].
+@functools.lru_cache(maxsize=SIMPSON_CACHE_SIZE)
+def _simpson_pass(width, x, T, steps):
+    """Composite Simpson sums of t^j e^(-x t) on [0, T] for j = 0..width.
 
-    `steps` is rounded up to the next even number.
+    One walk over the grid: each point evaluates e^(-x t) once, builds t^j
+    by the left-to-right products 1.0 * t * ... * t, and adds w * (t^j e)
+    into the j-th accumulator in grid order.  Every float is therefore the
+    one a separate loop over power j alone would give.  The accumulators
+    are plain sequential float additions; builtin `sum` must not replace
+    them: from Python 3.12 its float sum is compensated and would change
+    the last bits, and `requires-python` is `>=3.10`.
     """
     n = steps + (steps % 2)
     h = T / n
     exp = math.exp
-    acc = 0.0
+    acc = [0.0] * (width + 1)
+    powers = range(width + 1)
     for i in range(n + 1):
         t = i * h
+        e = exp(-x * t)
+        w = 1.0 if i == 0 or i == n else 4.0 if i % 2 else 2.0
         tp = 1.0
-        for _ in range(k):
+        for j in powers:
+            acc[j] += w * (tp * e)
             tp *= t
-        f = tp * exp(-x * t)
-        if i == 0 or i == n:
-            acc += f
-        elif i % 2 == 1:
-            acc += 4.0 * f
-        else:
-            acc += 2.0 * f
-    return acc * h / 3.0
+    return tuple(a * h / 3.0 for a in acc)
+
+
+def simpson_exp_monomial(k, x, T, steps):
+    """Composite Simpson approximation of the integral of t^k e^(-x t) on [0, T].
+
+    `steps` is rounded up to the next even number.  The value is read from
+    the memoised pass over every power 0..max(k, SHARED_K_MAX) at this
+    (x, T, steps), so the other powers of the same rate come for free.
+    """
+    if k < 0:
+        raise ValueError("power k must be nonnegative")
+    return _simpson_pass(max(k, SHARED_K_MAX), x, T, steps)[k]
 
 
 def laplace_monomial(

@@ -17,13 +17,9 @@ from bernkit.egf import (
     check_functional_equation,
     egf_bernstein,
     egf_bernstein_closed,
-    egf_diff_t,
-    egf_diff_x,
     egf_equal,
     egf_exp_affine,
     egf_linear_combination,
-    egf_mul,
-    egf_substitute_t,
     fe_param_names,
 )
 from bernkit.polynomials import Poly1, Poly2
@@ -90,20 +86,20 @@ class TestConstructors:
 class TestRingOperations:
     def test_exponent_addition(self):
         e1 = egf_exp_affine(1, 6)
-        assert egf_mul(e1, e1) == egf_exp_affine(2, 6)
+        assert e1 * e1 == egf_exp_affine(2, 6)
 
     def test_multiplicative_identity(self):
         one = egf_exp_affine(0, 5)
         a = egf_bernstein(1, 5)
-        assert egf_mul(a, one) == a
+        assert a * one == a
 
     def test_index_zero_times_exp_x(self):
         n = 8
-        assert egf_mul(egf_bernstein(0, n), egf_exp_affine(X, n)) == egf_exp_affine(1, n)
+        assert egf_bernstein(0, n) * egf_exp_affine(X, n) == egf_exp_affine(1, n)
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            egf_mul(egf_exp_affine(1, 3), egf_exp_affine(1, 4))
+            egf_exp_affine(1, 3) * egf_exp_affine(1, 4)
 
     @given(egf_pair_st)
     def test_product_is_the_binomial_convolution(self, ab):
@@ -164,13 +160,13 @@ class TestRingOperations:
 class TestSubstituteAndShift:
     def test_identity_substitution(self):
         a = egf_bernstein(1, 4)
-        assert egf_substitute_t(a, 1) == a
+        assert a.substitute_t(1) == a
 
     def test_scaling_t_by_two(self):
-        assert egf_substitute_t(egf_exp_affine(1, 5), 2) == egf_exp_affine(2, 5)
+        assert egf_exp_affine(1, 5).substitute_t(2) == egf_exp_affine(2, 5)
 
     def test_substitute_y_tags_each_order(self):
-        series = egf_substitute_t(egf_bernstein(1, 3), Y)
+        series = egf_bernstein(1, 3).substitute_t(Y)
         for n in range(4):
             expected = Poly2.coerce(bernstein_basis(n, 1)) * Y**n
             assert series.coefficient(n) == expected
@@ -187,10 +183,10 @@ class TestSubstituteAndShift:
 class TestDerivatives:
     def test_diff_x_order_zero_is_identity(self):
         a = egf_bernstein(2, 5)
-        assert egf_diff_x(a, 0) == a
+        assert a.diff_x(0) == a
 
     def test_diff_x_of_index_zero(self):
-        series = egf_diff_x(egf_bernstein(0, 5), 1)
+        series = egf_bernstein(0, 5).diff_x(1)
         for n in range(6):
             expected = Poly2.coerce(bernstein_basis(n, 0).derivative()) if n else Poly2()
             assert series.coefficient(n) == expected
@@ -198,22 +194,22 @@ class TestDerivatives:
                 assert series.coefficient(n) == Poly2.coerce((1 - Poly1.x()) ** (n - 1) * (-n))
 
     def test_diff_x_annihilates_past_degree(self):
-        assert egf_diff_x(egf_bernstein(1, 4), 9) == TruncatedEGF.zero(4)
+        assert egf_bernstein(1, 4).diff_x(9) == TruncatedEGF.zero(4)
 
     def test_diff_t_is_index_shift(self):
         a = egf_bernstein(1, 6)
-        d = egf_diff_t(a, 1)
+        d = a.diff_t(1)
         assert d.order == 5
         for m in range(6):
             assert d.coefficient(m) == Poly2.coerce(bernstein_basis(m + 1, 1))
 
     def test_diff_t_of_exponential(self):
         c = Fraction(3, 2)
-        assert egf_diff_t(egf_exp_affine(c, 5), 1) == egf_exp_affine(c, 4).scale(c)
+        assert egf_exp_affine(c, 5).diff_t(1) == egf_exp_affine(c, 4).scale(c)
 
     def test_diff_t_beyond_order_rejected(self):
         with pytest.raises(ValueError):
-            egf_diff_t(egf_exp_affine(1, 3), 4)
+            egf_exp_affine(1, 3).diff_t(4)
 
 
 class TestEquality:

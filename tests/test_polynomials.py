@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bernkit.polynomials import Poly1, Poly2, as_scalar, scalar_str
+from bernkit.polynomials import Poly1, Poly2, as_scalar, conv1, conv2, scalar_str
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 poly1_st = st.lists(fractions_st, max_size=6).map(Poly1)
@@ -199,3 +199,17 @@ class TestPoly2:
         p = Poly2([[0, 0, 5], [0, 3], [7]])  # 5y^2 + 3xy + 7x^2
         exps = [e for e, _ in p.monomials()]
         assert exps == [(0, 2), (1, 1), (2, 0)]
+
+
+class TestConvolutionKernels:
+    def test_conv1_known_product(self):
+        # (1 + 2x)(3 + x) = 3 + 7x + 2x^2
+        assert conv1([1, 2], [3, 1]) == [3, 7, 2]
+
+    def test_conv1_empty_operand(self):
+        assert conv1([], [1, 2]) == []
+        assert conv1([1], []) == []
+
+    def test_conv2_known_product(self):
+        # (x)(y) = xy
+        assert conv2([[0], [1]], [[0, 1]]) == [[0, 0], [0, 1]]

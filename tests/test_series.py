@@ -1,5 +1,7 @@
 """Certified series summation and the quadrature cross-check."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +9,16 @@ import pytest
 from bernkit.bernstein import bernstein_basis
 from bernkit.series import (
     SERIES_IDS,
+    SHARED_K_MAX,
+    SIMPSON_CACHE_SIZE,
+    _simpson_pass,
     _term,
     laplace_monomial,
     partial_sum,
     required_terms,
     series_limit,
     series_sweep,
+    simpson_exp_monomial,
     tail_bound,
 )
 
@@ -87,6 +93,16 @@ class TestTailBounds:
                 tail = bounds[4 * k + 8 :]
                 assert all(b1 >= b2 for b1, b2 in zip(tail, tail[1:]))
 
+    def test_sweep_bounds_equal_single_bounds(self):
+        # The sweep builds every bound in one pass; each must be the very
+        # Fraction tail_bound gives.  TG3 at x = 1/50, k = 2 has its
+        # geometric start m0 = 100 beyond the sweep's last term count.
+        cases = [(s, k, x) for s, points in GRID.items() for x in points for k in range(4)]
+        cases.append(("TG3", 2, Fraction(1, 50)))
+        for series_id, k, x in cases:
+            bounds = [c.tail_bound for c in series_sweep(series_id, k, x, 80)]
+            assert bounds == [tail_bound(series_id, k, x, n) for n in range(81)], (series_id, k, x)
+
     def test_prefix_property(self):
         # Recomputing with more terms only appends; earlier sums are unchanged.
         sweep = series_sweep("TG3", 2, Fraction(1, 4), 50)
@@ -136,6 +152,58 @@ class TestRequiredTerms:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             required_terms("TG3", 0, Fraction(1, 2), 0)
+
+
+def _simpson_per_power(k, x, T, steps):
+    """The quadrature as a separate loop per power k: the reference the
+    shared pass must reproduce bit for bit."""
+    n = steps + (steps % 2)
+    h = T / n
+    exp = math.exp
+    acc = 0.0
+    for i in range(n + 1):
+        t = i * h
+        tp = 1.0
+        for _ in range(k):
+            tp *= t
+        f = tp * exp(-x * t)
+        if i == 0 or i == n:
+            acc += f
+        elif i % 2 == 1:
+            acc += 4.0 * f
+        else:
+            acc += 2.0 * f
+    return acc * h / 3.0
+
+
+class TestSimpsonPass:
+    def test_simpson_constant_integrand(self):
+        # integral of e^(-t) over [0, 20] = 1 - e^-20
+        approx = simpson_exp_monomial(0, 1.0, 20.0, 2_000)
+        assert abs(approx - (1 - math.exp(-20))) < 1e-10
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 7, 1000, 1001, 4097])
+    def test_shared_pass_is_bit_identical_to_per_power_loop(self, steps):
+        for x in (0.3, 0.5, 1.0, 2.0, 3.7):
+            for T in (40.0 / x, 7.5):
+                for k in range(7):
+                    want = _simpson_per_power(k, x, T, steps)
+                    got = simpson_exp_monomial(k, x, T, steps)
+                    assert got.hex() == want.hex(), (k, x, T, steps)
+
+    def test_one_pass_per_rate_in_any_order(self):
+        pairs = [(k, x) for k in range(SHARED_K_MAX + 1) for x in (Fraction(1, 2), 1, 2)]
+        random.Random(6).shuffle(pairs)
+        _simpson_pass.cache_clear()
+        for k, x in pairs:
+            laplace_monomial(k, x, steps=2_000)
+        info = _simpson_pass.cache_info()
+        assert (info.misses, info.hits) == (3, 12)
+        assert info.maxsize == SIMPSON_CACHE_SIZE
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            simpson_exp_monomial(-1, 1.0, 20.0, 100)
 
 
 class TestLaplaceQuadrature:
