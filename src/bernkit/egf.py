@@ -1,10 +1,21 @@
-"""Truncated exponential-generating-function ring with bivariate coefficients.
+"""Truncated exponential-generating-function ring with polynomial coefficients.
 
 A `TruncatedEGF` of order N stands for sum_{n=0..N} a_n t^n/n! + O(t^{N+1})
-with each a_n a `Poly2`.  The family egf_bernstein(k, .) packs the Bernstein
-basis functions of fixed index k, one degree per t-order; products are
-binomial convolutions, so every functional equation between such series
-reads off coefficient-wise as a polynomial identity, one per degree.
+with each a_n a polynomial in x, or in x and y.  The family
+egf_bernstein(k, .) packs the Bernstein basis functions of fixed index k,
+one degree per t-order; products are binomial convolutions, so every
+functional equation between such series reads off coefficient-wise as a
+polynomial identity, one per degree.
+
+A series stores its coefficients as `Poly1` (polynomials in x) until an
+operand from the bivariate ring enters: a `Poly2` coefficient, weight,
+substitution or exponent, or a series already stored as `Poly2`.  Then
+every operand is lifted in `_coerce`, the one promotion point, and the
+result stays bivariate.  In the catalog only FE-SUB (`egf_bernstein_at`,
+`substitute_t(y)`, `egf_exp_affine(1 - y)`) and FE-XY (the series in y and
+the xy prefactor) are promoted; the other families and the closed-form
+check run on `Poly1` alone.  The public surface (`coeffs`, `coefficient`,
+`egf_equal`'s difference) speaks `Poly2` whichever ring holds the series.
 
 The catalog in `check_functional_equation` carries the equations this
 library verifies mechanically; each one is checked as exact coefficient
@@ -20,10 +31,27 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .bernstein import bernstein_basis, binomial, falling_factorial
-from .polynomials import Poly2, ScalarLike
+from .polynomials import Poly1, Poly2, ScalarLike, as_scalar
 from .report import METHOD_SYMBOLIC, IdentityReport, Witness, scalar_str
 
-CoeffLike = Union[ScalarLike, Poly2]
+CoeffLike = Union[ScalarLike, Poly1, Poly2]
+Ring = Union[type[Poly1], type[Poly2]]
+
+
+def _ring_of(*values) -> Ring:
+    """Poly2 if any value is a Poly2 or a series stored in Poly2, else Poly1."""
+    for v in values:
+        if isinstance(v, Poly2) or (isinstance(v, TruncatedEGF) and v._ring is Poly2):
+            return Poly2
+    return Poly1
+
+
+def _coerce(value: CoeffLike, ring: Ring):
+    """`value` as an element of `ring`; the one place a Poly1 (read as a
+    polynomial in x) is promoted to Poly2."""
+    if ring is Poly2:
+        return Poly2.coerce(value)
+    return value if isinstance(value, Poly1) else Poly1.constant(value)
 
 
 class TruncatedEGF:
@@ -34,98 +62,139 @@ class TruncatedEGF:
     def __init__(self, order: int, coeffs: Iterable[CoeffLike]):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = tuple(Poly2.coerce(c) for c in coeffs)
+        cs = tuple(coeffs)
+        ring = _ring_of(*cs)
+        cs = tuple(_coerce(c, ring) for c in cs)
         if len(cs) != order + 1:
             raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(cs)}")
         self.order = order
         self._coeffs = cs
 
     @classmethod
+    def _of(cls, order: int, coeffs: Iterable) -> "TruncatedEGF":
+        """Internal constructor from order+1 coefficients of one ring."""
+        self = object.__new__(cls)
+        self.order = order
+        self._coeffs = tuple(coeffs)
+        return self
+
+    @classmethod
     def zero(cls, order: int) -> "TruncatedEGF":
-        return cls(order, [Poly2()] * (order + 1))
+        return cls._of(order, [Poly1()] * (order + 1))
+
+    @property
+    def _ring(self) -> Ring:
+        return type(self._coeffs[0])
+
+    def _in(self, ring: Ring) -> tuple:
+        """The coefficients as elements of `ring` (lifted if need be)."""
+        if self._ring is ring:
+            return self._coeffs
+        return tuple(_coerce(c, ring) for c in self._coeffs)
 
     @property
     def coeffs(self) -> tuple[Poly2, ...]:
-        return self._coeffs
+        return self._in(Poly2)
 
     def coefficient(self, n: int) -> Poly2:
         """Coefficient of t^n/n!."""
         if not 0 <= n <= self.order:
             raise IndexError(f"order {self.order} series has no coefficient {n}")
-        return self._coeffs[n]
+        return _coerce(self._coeffs[n], Poly2)
 
     def _require_same_order(self, other: "TruncatedEGF") -> None:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
+    def _common(self, other: "TruncatedEGF") -> tuple[tuple, tuple]:
+        """Both coefficient tuples in the smallest ring that holds them."""
+        ring = _ring_of(self, other)
+        return self._in(ring), other._in(ring)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedEGF):
-            return self.order == other.order and self._coeffs == other._coeffs
+            if self.order != other.order:
+                return False
+            a, b = self._common(other)
+            return a == b
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self._coeffs))
+        return hash((self.order, self.coeffs))
 
     def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedEGF(self.order, [a + b for a, b in zip(self._coeffs, other._coeffs)])
+        a, b = self._common(other)
+        return TruncatedEGF._of(self.order, [p + q for p, q in zip(a, b)])
 
     def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._require_same_order(other)
-        return TruncatedEGF(self.order, [a - b for a, b in zip(self._coeffs, other._coeffs)])
+        a, b = self._common(other)
+        return TruncatedEGF._of(self.order, [p - q for p, q in zip(a, b)])
 
     def __neg__(self) -> "TruncatedEGF":
-        return TruncatedEGF(self.order, [-a for a in self._coeffs])
+        return TruncatedEGF._of(self.order, [-a for a in self._coeffs])
 
     def __mul__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         """Binomial convolution: c_n = sum_j C(n,j) a_j b_{n-j}."""
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._require_same_order(other)
-        a, b = self._coeffs, other._coeffs
-        return TruncatedEGF(
+        a, b = self._common(other)
+        ring = type(a[0])
+        return TruncatedEGF._of(
             self.order,
             [
-                Poly2.sum_of_products((math.comb(n, j), a[j], b[n - j]) for j in range(n + 1))
+                ring.sum_of_products((math.comb(n, j), a[j], b[n - j]) for j in range(n + 1))
                 for n in range(self.order + 1)
             ],
         )
 
+    def _factor(self, value: CoeffLike):
+        """(coefficients, factor) for multiplying by `value`: a scalar as an
+        exact rational, a polynomial in the ring both share."""
+        if isinstance(value, (Poly1, Poly2)):
+            ring = _ring_of(self, value)
+            return self._in(ring), _coerce(value, ring)
+        return self._coeffs, as_scalar(value)
+
     def scale(self, value: CoeffLike) -> "TruncatedEGF":
         """Multiply every coefficient by a fixed polynomial or scalar."""
-        c = Poly2.coerce(value)
-        return TruncatedEGF(self.order, [a * c for a in self._coeffs])
+        coeffs, c = self._factor(value)
+        return TruncatedEGF._of(self.order, [a * c for a in coeffs])
 
     def substitute_t(self, s: CoeffLike) -> "TruncatedEGF":
         """Replace t by t*s for s free of t: coefficient n picks up a factor s^n."""
-        sq = Poly2.coerce(s)
+        coeffs, sq = self._factor(s)
         out = []
-        power = Poly2.constant(1)
-        for n, a in enumerate(self._coeffs):
+        power = 1
+        for n, a in enumerate(coeffs):
             if n:
                 power = power * sq
             out.append(a * power)
-        return TruncatedEGF(self.order, out)
+        return TruncatedEGF._of(self.order, out)
 
     def shift_t(self, l: int) -> "TruncatedEGF":
         """Multiply by t^l (truncation order is kept): c_m = (m)_l a_{m-l}."""
         if l < 0:
             raise ValueError("shift power must be nonnegative")
+        zero = self._ring()
         out = []
         for m in range(self.order + 1):
             if m < l:
-                out.append(Poly2())
+                out.append(zero)
             else:
                 out.append(self._coeffs[m - l] * falling_factorial(m, l))
-        return TruncatedEGF(self.order, out)
+        return TruncatedEGF._of(self.order, out)
 
     def diff_x(self, l: int = 1) -> "TruncatedEGF":
         """Coefficient-wise l-th partial derivative in x."""
-        return TruncatedEGF(self.order, [a.diff_x(l) for a in self._coeffs])
+        d = Poly1.derivative if self._ring is Poly1 else Poly2.diff_x
+        return TruncatedEGF._of(self.order, [d(a, l) for a in self._coeffs])
 
     def diff_t(self, v: int = 1) -> "TruncatedEGF":
         """v-th derivative in t; the order drops to N-v and coefficients shift."""
@@ -133,12 +202,12 @@ class TruncatedEGF:
             raise ValueError("derivative order must be nonnegative")
         if v > self.order:
             raise ValueError(f"cannot differentiate an order-{self.order} series {v} times in t")
-        return TruncatedEGF(self.order - v, self._coeffs[v:])
+        return TruncatedEGF._of(self.order - v, self._coeffs[v:])
 
     def truncate(self, order: int) -> "TruncatedEGF":
         if not 0 <= order <= self.order:
             raise ValueError("can only truncate to a lower order")
-        return TruncatedEGF(order, self._coeffs[: order + 1])
+        return TruncatedEGF._of(order, self._coeffs[: order + 1])
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self._coeffs[:4])
@@ -154,8 +223,13 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
     Built from the definition (one monomial expansion per degree); the
     closed form t^k var^k e^{(1-var)t} / k! is constructed separately by
     `egf_bernstein_closed`, and their agreement is itself a verified check.
+    In x the series holds the cached basis polynomials themselves; in y it
+    is a Poly2 series.
     """
-    return TruncatedEGF(order, [Poly2.coerce(bernstein_basis(n, k), var) for n in range(order + 1)])
+    basis = [bernstein_basis(n, k) for n in range(order + 1)]
+    if var != "x":
+        basis = [Poly2.coerce(b, var) for b in basis]
+    return TruncatedEGF._of(order, basis)
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,7 +237,7 @@ def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
     """Closed form t^k var^k e^{(1-var)t} / k! as an order-N truncation."""
     if k < 0:
         return TruncatedEGF.zero(order)
-    v = Poly2.x() if var == "x" else Poly2.y()
+    v = Poly1.x() if var == "x" else Poly2.y()
     series = egf_exp_affine(1 - v, order).shift_t(k)
     return series.scale(v**k * Fraction(1, math.factorial(k)))
 
@@ -171,18 +245,23 @@ def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
 def egf_bernstein_at(k: int, order: int) -> TruncatedEGF:
     """Definitional series with the basis functions evaluated at the product
     xy, coefficient-wise."""
-    return TruncatedEGF(order, [bernstein_basis(n, k).at_xy() for n in range(order + 1)])
+    return TruncatedEGF._of(order, [bernstein_basis(n, k).at_xy() for n in range(order + 1)])
 
 
 def egf_exp_affine(c: CoeffLike, order: int) -> TruncatedEGF:
     """e^{c t} for an exponent polynomial of total degree at most one."""
-    cq = Poly2.coerce(c)
-    if cq.total_degree > 1:
+    if isinstance(c, Poly1):
+        degree = c.degree
+    elif isinstance(c, Poly2):
+        degree = c.total_degree
+    else:
+        c, degree = as_scalar(c), 0
+    if degree > 1:
         raise ValueError("exponent must have total degree <= 1")
-    coeffs = [Poly2.constant(1)]
+    coeffs = [_ring_of(c).constant(1)]
     for _ in range(order):
-        coeffs.append(coeffs[-1] * cq)
-    return TruncatedEGF(order, coeffs)
+        coeffs.append(coeffs[-1] * c)
+    return TruncatedEGF._of(order, coeffs)
 
 
 def egf_linear_combination(
@@ -190,12 +269,14 @@ def egf_linear_combination(
 ) -> TruncatedEGF:
     """sum_j w_j E_j for polynomial or scalar weights w_j and order-`order`
     series E_j; each output coefficient is canonicalised once."""
-    pairs = [(Poly2.coerce(w), e) for w, e in terms]
+    pairs = list(terms)
     if any(e.order != order for _, e in pairs):
         raise ValueError(f"every term must have order {order}")
-    return TruncatedEGF(
+    ring = _ring_of(*(v for pair in pairs for v in pair))
+    pairs = [(_coerce(w, ring), e._in(ring)) for w, e in pairs]
+    return TruncatedEGF._of(
         order,
-        [Poly2.sum_of_products((1, w, e._coeffs[n]) for w, e in pairs) for n in range(order + 1)],
+        [ring.sum_of_products((1, w, e[n]) for w, e in pairs) for n in range(order + 1)],
     )
 
 
@@ -204,19 +285,21 @@ def egf_equal(a: TruncatedEGF, b: TruncatedEGF) -> tuple[bool, Optional[tuple[in
     and the coefficient difference there."""
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
+    ca, cb = a._common(b)
     for n in range(a.order + 1):
-        if a.coefficient(n) != b.coefficient(n):
-            return False, (n, a.coefficient(n) - b.coefficient(n))
+        if ca[n] != cb[n]:
+            return False, (n, _coerce(ca[n] - cb[n], Poly2))
     return True, None
 
 
 # --- functional-equation catalog -------------------------------------------
 
-_X = Poly2.x()
+_X = Poly1.x()
 _Y = Poly2.y()
+_XY = _X.at_xy()
 
 
-def _monomial_scale(k: int, var: Poly2) -> Poly2:
+def _monomial_scale(k: int, var: Poly1) -> Poly1:
     return var**k * Fraction(1, math.factorial(k))
 
 
@@ -286,8 +369,8 @@ def _fe_prod(order: int, k1: int, k2: int):
 def _fe_xy(order: int, k: int):
     lhs = egf_bernstein(k, order) * egf_bernstein(k, order, var="y").substitute_t(-1)
     sign = -1 if k % 2 else 1
-    front = (_X * _Y) ** k * Fraction(sign, math.factorial(k) ** 2)
-    rhs = egf_exp_affine(_Y - _X, order).shift_t(2 * k).scale(front)
+    front = _XY**k * Fraction(sign, math.factorial(k) ** 2)
+    rhs = egf_exp_affine(_Y - Poly2.x(), order).shift_t(2 * k).scale(front)
     return lhs, rhs
 
 

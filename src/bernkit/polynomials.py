@@ -118,6 +118,33 @@ class Poly1:
         return self
 
     @classmethod
+    def sum_of_products(cls, terms: Iterable[tuple[int, "Poly1", "Poly1"]]) -> "Poly1":
+        """Canonical sum of w*a*b over (w, a, b) triples with integer weights.
+
+        The univariate twin of `Poly2.sum_of_products`: the products are
+        accumulated into one integer array over the lcm of their
+        denominators and canonicalised once.
+        """
+        live = [(w, a, b) for w, a, b in terms if w and a._num and b._num]
+        if not live:
+            return cls._raw([], 1)
+        den = 1
+        size = 0
+        for _, a, b in live:
+            d = a._den * b._den
+            den = den * d // math.gcd(den, d)
+            size = max(size, len(a._num) + len(b._num) - 1)
+        out = [0] * size
+        for w, a, b in live:
+            m = w * (den // (a._den * b._den))
+            q = 0
+            for v in conv1(a._num, b._num):
+                if v:
+                    out[q] += m * v
+                q += 1
+        return cls._raw(out, den)
+
+    @classmethod
     def constant(cls, value: ScalarLike) -> "Poly1":
         q = as_scalar(value)
         return cls._raw([q.numerator], q.denominator)

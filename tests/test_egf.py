@@ -45,6 +45,34 @@ egf_triple_st = st.integers(min_value=0, max_value=4).flatmap(
 )
 
 
+def x_only_twins(order):
+    """One x-only series twice: with Poly1 coefficients, and with the same
+    coefficients written as Poly2 columns."""
+    return st.lists(
+        st.lists(fractions_st, max_size=3), min_size=order + 1, max_size=order + 1
+    ).map(
+        lambda css: (
+            TruncatedEGF(order, [Poly1(cs) for cs in css]),
+            TruncatedEGF(order, [Poly2([[c] for c in cs]) for cs in css]),
+        )
+    )
+
+
+y_poly_st = poly2_st.map(lambda p: p + Y)
+mixed_ring_st = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.tuples(
+        x_only_twins(n),
+        x_only_twins(n),
+        egf_of_order(n).map(lambda e: e + egf_exp_affine(Y, n)),
+        y_poly_st,
+    )
+)
+
+
+def same_coeffs(a, b):
+    assert [(c._num, c._den) for c in a.coeffs] == [(c._num, c._den) for c in b.coeffs]
+
+
 class TestConstructors:
     def test_index_zero_coefficients(self):
         series = egf_bernstein(0, 3)
@@ -75,8 +103,9 @@ class TestConstructors:
         assert series.coefficient(3) == (1 - 2 * X) ** 3
 
     def test_exp_degree_two_rejected(self):
-        with pytest.raises(ValueError):
-            egf_exp_affine(X * Y, 3)
+        for exponent in (X * Y, Poly1.x() ** 2):
+            with pytest.raises(ValueError):
+                egf_exp_affine(exponent, 3)
 
     def test_coefficient_count_validated(self):
         with pytest.raises(ValueError):
@@ -155,6 +184,77 @@ class TestRingOperations:
         a, b = ab
         m = min(m, a.order)
         assert (a * b).truncate(m) == a.truncate(m) * b.truncate(m)
+
+
+class TestStorageRings:
+    """x-only series keep Poly1 coefficients; a y-bearing operand promotes
+    the result to Poly2, with the same coefficients as the all-Poly2 ring."""
+
+    @given(mixed_ring_st, fractions_st)
+    def test_every_operation_matches_the_bivariate_ring(self, operands, c):
+        (a, a2), (b, b2), e, s = operands
+        n = a.order
+        assert a._ring is Poly1 and a2._ring is Poly2 and e._ring is Poly2
+        x_only = [
+            (a * b, a2 * b2),
+            (a + b, a2 + b2),
+            (a - b, a2 - b2),
+            (-a, -a2),
+            (a.scale(c), a2.scale(c)),
+            (a.scale(b._coeffs[0]), a2.scale(b2._coeffs[0])),
+            (a.substitute_t(c), a2.substitute_t(c)),
+            (a.substitute_t(Poly1.x()), a2.substitute_t(X)),
+            (a.shift_t(2), a2.shift_t(2)),
+            (a.diff_x(1), a2.diff_x(1)),
+            (a.diff_t(n), a2.diff_t(n)),
+            (
+                egf_linear_combination(n, [(c, a), (Poly1([1, c]), b)]),
+                egf_linear_combination(n, [(c, a2), (Poly2([[1], [c]]), b2)]),
+            ),
+            (egf_exp_affine(Poly1([c, 1]), n), egf_exp_affine(Poly2([[c], [1]]), n)),
+        ]
+        for got, want in x_only:
+            assert got._ring is Poly1
+            same_coeffs(got, want)
+        promoted = [
+            (a * e, a2 * e),
+            (e * a, e * a2),
+            (a + e, a2 + e),
+            (e - a, e - a2),
+            (a.scale(s), a2.scale(s)),
+            (a.substitute_t(s), a2.substitute_t(s)),
+            (a.substitute_t(Y), a2.substitute_t(Y)),
+            (
+                egf_linear_combination(n, [(s, a), (1, b)]),
+                egf_linear_combination(n, [(s, a2), (1, b2)]),
+            ),
+            (
+                egf_linear_combination(n, [(c, a), (1, e)]),
+                egf_linear_combination(n, [(c, a2), (1, e)]),
+            ),
+        ]
+        for got, want in promoted:
+            assert got._ring is Poly2
+            same_coeffs(got, want)
+        assert egf_equal(a, e) == egf_equal(a2, e)
+        assert egf_equal(a * e, a2 * e) == (True, None)
+
+    @given(x_only_twins(3), x_only_twins(3))
+    def test_equal_series_in_different_rings_compare_and_hash_equal(self, pair, other):
+        a, a2 = pair
+        assert a == a2 and a2 == a
+        assert hash(a) == hash(a2)
+        assert a.coeffs == a2.coeffs
+        b, b2 = other
+        assert (a == b2) == (a2 == b) == (a.coeffs == b.coeffs)
+        assert egf_equal(a, b2) == egf_equal(a2, b)
+
+    def test_bernstein_series_stores_the_cached_basis(self):
+        series = egf_bernstein(2, 6)
+        assert all(c is bernstein_basis(n, 2) for n, c in enumerate(series._coeffs))
+        assert all(isinstance(c, Poly2) for c in series.coeffs)
+        assert isinstance(series.coefficient(3), Poly2)
+        assert egf_bernstein(2, 6, var="y")._ring is Poly2
 
 
 class TestSubstituteAndShift:

@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bernkit import polynomials
 from bernkit.polynomials import Poly1, Poly2, as_scalar, conv1, conv2, scalar_str
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 poly1_st = st.lists(fractions_st, max_size=6).map(Poly1)
+# Integer coefficients with a common content above one, which canonicalisation keeps.
+integer_poly1_st = st.tuples(st.lists(st.integers(-5, 5), max_size=6), st.integers(1, 6)).map(
+    lambda cs: Poly1([c * cs[1] for c in cs[0]])
+)
 poly2_st = st.lists(st.lists(fractions_st, max_size=4), max_size=4).map(Poly2)
 
 
@@ -124,6 +129,47 @@ class TestPoly1Arithmetic:
         q = Poly1([1, -2, 3])
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
         assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-4, 4),
+                st.one_of(poly1_st, integer_poly1_st),
+                st.one_of(poly1_st, integer_poly1_st),
+            ),
+            max_size=5,
+        )
+    )
+    def test_sum_of_products_matches_naive_fold(self, terms):
+        want = Poly1()
+        for w, a, b in terms:
+            want = want + a * b * w
+        got = Poly1.sum_of_products(terms)
+        assert (got._num, got._den) == (want._num, want._den)
+
+    def test_sum_of_products_over_the_lcm_denominator(self):
+        half, third = Poly1([Fraction(1, 2)]), Poly1([0, Fraction(1, 3)])
+        got = Poly1.sum_of_products([(1, half, third), (2, third, third), (-1, Poly1.x(), half)])
+        assert got == Poly1([0, Fraction(-1, 3), Fraction(2, 9)])  # x/6 + 2x^2/9 - x/2
+
+    def test_sum_of_products_of_nothing_is_zero(self):
+        x = Poly1.x()
+        for terms in ([], [(0, x, x), (3, Poly1(), x), (2, x, Poly1())]):
+            zero = Poly1.sum_of_products(terms)
+            assert (zero._num, zero._den) == ((), 1)
+
+    def test_sum_of_products_calls_the_kernel_once_per_product(self, monkeypatch):
+        calls = []
+
+        def counting_conv1(a, b):
+            calls.append((a, b))
+            return conv1(a, b)
+
+        monkeypatch.setattr(polynomials, "conv1", counting_conv1)
+        x = Poly1.x()
+        terms = [(1, x, x), (0, x, x), (2, Poly1([1, 1]), x)]
+        assert Poly1.sum_of_products(terms) == Poly1([0, 2, 3])
+        assert len(calls) == 2
 
     @given(poly1_st, poly1_st)
     def test_compose_agrees_with_evaluation(self, p, q):
