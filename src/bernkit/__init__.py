@@ -7,7 +7,8 @@ Four layers:
 * `egf` -- a truncated exponential-generating-function ring whose
   functional-equation catalog is checked coefficient-wise;
 * `identities` / `oracle` -- every classical identity as a parametrized
-  exact check, next to an independent brute-force expansion oracle;
+  exact check, next to an independent oracle that decides each one from
+  exact values on a tensor grid, with no polynomial code;
 * `series` -- certified summation of the fixed-index series plus the
   quadrature cross-check of the monomial transform.
 

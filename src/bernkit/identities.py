@@ -34,14 +34,6 @@ def _bump(base, slot: str, mutate: Optional[str]):
     return base + 1 if mutate == slot else base
 
 
-def _embed_x(p: Poly1) -> Poly2:
-    return p.as_poly2_in_x()
-
-
-def _embed_y(p: Poly1) -> Poly2:
-    return p.as_poly2_in_y()
-
-
 def verify_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Partition of unity: the degree-n basis functions sum to 1."""
     if n < 0:
@@ -73,7 +65,7 @@ def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityRepor
     rhs = Poly2()
     for k in range(j, n + 1):
         c = _bump(Fraction(1), f"term:{k}", mutate)
-        rhs = rhs + _embed_x(bernstein_basis(k, j)) * _embed_y(bernstein_basis(n, k)) * c
+        rhs = rhs + bernstein_basis(k, j).as_poly2_in_x() * bernstein_basis(n, k).as_poly2_in_y() * c
     return compare_poly2("subdivision-product", {"n": n, "j": j}, lhs, rhs * scale)
 
 
@@ -86,7 +78,8 @@ def _subdivision_affine(n: int, j: int, mutate: Optional[str]) -> IdentityReport
     rhs = Poly2()
     for k in range(j + 1):
         c = _bump(Fraction(1), f"term:{k}", mutate)
-        rhs = rhs + _embed_x(bernstein_basis(n - k, j - k)) * _embed_y(bernstein_basis(n, k)) * c
+        term = bernstein_basis(n - k, j - k).as_poly2_in_x() * bernstein_basis(n, k).as_poly2_in_y()
+        rhs = rhs + term * c
     return compare_poly2("subdivision-affine", {"n": n, "j": j}, lhs, rhs * scale)
 
 
@@ -309,7 +302,7 @@ def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> Identit
     for j in range(n + 1):
         sign = -1 if (n - j) % 2 else 1
         c = _bump(Fraction(sign * math.comb(n, j)), f"term:{j}", mutate)
-        term = _embed_x(bernstein_basis(j, k)) * _embed_y(bernstein_basis(n - j, k))
+        term = bernstein_basis(j, k).as_poly2_in_x() * bernstein_basis(n - j, k).as_poly2_in_y()
         if term:
             rhs = rhs + term * c
     return compare_poly2("two-point", {"n": n, "k": k}, lhs, rhs * prefactor)

@@ -1,43 +1,84 @@
-"""Brute-force oracle for the identity suite.
+"""Evaluation oracle for the identity suite: exact values on a tensor grid,
+no polynomial code.
 
-Everything here is built the dumbest possible way: every basis function is
-expanded through `generalized_basis(n, k, 0, 1)` (repeated polynomial
-multiplication, a different arithmetic route than the binomial-sum
-expansion the suite uses), substitutions are performed literally, and both
-sides are compared as canonical polynomials.  Each (n, k) is expanded once
-per process and kept in the oracle's own bounded cache (`_basis`), separate
-from the suite's `bernstein_basis` cache, so the two sides never share a
-result.  The three-variable identity is checked by slicing the third
-variable at enough rational values that the remaining two-variable
-comparisons determine the full statement.
+Each identity is decided by evaluating both of its sides at every point of
+the tensor grid {0, ..., D}^m, where m is the number of variables and D
+bounds the degree of both sides in each variable.  Two polynomials of
+degree at most D in each variable that agree on D + 1 distinct values per
+variable are equal, so agreement on the grid is polynomial equality (the
+argument `identities.grid_nodes` relies on).  At integer nodes a basis
+value C(n, k) x^k (1 - x)^(n - k) is a plain `int`; only a few prefactors
+are `Fraction`s.  Composite arguments (xy, x + y - xy, (1 - w)x + wy) are
+computed as numbers, and the derivative family uses the Leibniz rule on
+x^k (1 - x)^(n - k), so nothing here multiplies, composes or
+differentiates a polynomial.  The module imports only the standard
+library, so it shares no arithmetic with the suite it judges.
 
-The oracle knows nothing about the generating-function engine and never
-imports it; mutation slots are re-applied here independently so mutated
-checks can be cross-adjudicated.  A parameter tuple outside an identity's
-range, or a mutation slot the identity never reads, is a `ValueError`, so
-no check can pass without having evaluated what it was asked to.
+Mutation slots are re-applied here independently so mutated checks can be
+cross-adjudicated.  A parameter tuple outside an identity's range, or a
+mutation slot the identity never reads, is a `ValueError`, so no check can
+pass without having evaluated what it was asked to.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
-from .bernstein import binomial, falling_factorial, generalized_basis
-from .polynomials import Poly1, Poly2
-
-# Bound on the (n, k) expansions kept: the suite-oracle workload reads 381
-# distinct keys, and 1024 holds every in-range key up to n = 43.
-BASIS_CACHE_SIZE = 1024
+# Bound on the basis values memoised at grid nodes.  The suite-oracle
+# workload reads 2 755 distinct in-range (n, k, x) keys; 4096 holds them all.
+NODE_CACHE_SIZE = 4096
 
 
-@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _basis(n: int, k: int) -> Poly1:
+def _basis(n: int, k: int, x):
+    """B_k^n(x) = C(n, k) x^k (1 - x)^(n - k); zero for k outside 0..n."""
     if k < 0 or k > n:
-        return Poly1()
-    return generalized_basis(n, k, 0, 1)
+        return 0
+    return math.comb(n, k) * x**k * (1 - x) ** (n - k)
+
+
+@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
+def _cached_basis(n: int, k: int, x: int) -> int:
+    return _basis(n, k, x)
+
+
+def _node(n: int, k: int, x: int) -> int:
+    """`_basis` at a grid node, memoised for in-range k.  Composite
+    arguments such as xy take hundreds of values and call `_basis`."""
+    return _cached_basis(n, k, x) if 0 <= k <= n else 0
+
+
+def _derivative(n: int, k: int, l: int, x):
+    """The l-th derivative of B_k^n at x, by the Leibniz rule on the
+    product x^k (1 - x)^(n - k); zero for k outside 0..n."""
+    if k < 0 or k > n:
+        return 0
+    total = 0
+    for i in range(max(0, l - (n - k)), min(l, k) + 1):
+        m = l - i  # derivatives that fall on (1 - x)^(n - k)
+        total += (
+            math.comb(l, i)
+            * math.perm(k, i)
+            * x ** (k - i)
+            * (-1) ** m
+            * math.perm(n - k, m)
+            * (1 - x) ** (n - k - m)
+        )
+    return math.comb(n, k) * total
+
+
+def _agree(bound: int, arity: int, lhs: Callable, rhs: Callable) -> bool:
+    """Whether lhs and rhs agree at every point of {0, ..., bound}^arity.
+
+    Both sides must have degree at most `bound` in each of their `arity`
+    variables; the grid then decides polynomial equality.  Stops at the
+    first differing point.
+    """
+    grid = itertools.product(range(bound + 1), repeat=arity)
+    return all(lhs(*point) == rhs(*point) for point in grid)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -63,21 +104,8 @@ def _finite_sum_params(identity_id: str, p: dict) -> tuple[int, int]:
     return n, k
 
 
-def _diag_xy(p: Poly1) -> Poly2:
-    """Substitute the product xy into a univariate polynomial, term by term."""
-    return Poly2([[Fraction(0)] * i + [c] for i, c in enumerate(p.coeffs)])
-
-
-def _ex(p: Poly1) -> Poly2:
-    return p.as_poly2_in_x()
-
-
-def _ey(p: Poly1) -> Poly2:
-    return p.as_poly2_in_y()
-
-
 def oracle_verify(identity_id: str, params: Mapping[str, int], mutate: Optional[str] = None) -> bool:
-    """Literal-expansion verdict for one identity at one parameter tuple.
+    """Grid-evaluation verdict for one identity at one parameter tuple.
 
     `mutate` names one right-hand-side constant to bump by +1.  Raises
     ValueError for an unknown id, a tuple outside the identity's range, or
@@ -89,186 +117,145 @@ def oracle_verify(identity_id: str, params: Mapping[str, int], mutate: Optional[
         read.add(slot)
         return base + 1 if mutate == slot else base
 
-    verdict = _verdict(identity_id, dict(params), bump)
+    bound, arity, lhs, rhs = _sides(identity_id, dict(params), bump)
     if mutate is not None and mutate not in read:
         raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {dict(params)}")
-    return verdict
+    return _agree(bound, arity, lhs, rhs)
 
 
-def _verdict(identity_id: str, p: dict, bump: Callable) -> bool:
-    """One branch per identity; every right-hand-side constant goes through
-    `bump(base, slot)`."""
+def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callable, Callable]:
+    """(per-variable degree bound, number of variables, lhs, rhs) of one
+    identity at one tuple, after its range check.  Every right-hand-side
+    constant goes through `bump(base, slot)` here, before any grid point is
+    evaluated, so an early mismatch never leaves a slot unread."""
+    B = _node  # a basis value at a grid node
     if identity_id == "sum":
         n = p["n"]
         _require(n >= 0, f"sum needs n >= 0 (got n={n})")
-        lhs = Poly1()
-        for k in range(n + 1):
-            lhs = lhs + _basis(n, k)
-        return lhs == Poly1.constant(bump(Fraction(1), "rhs-const"))
+        c = bump(1, "rhs-const")
+        return n, 1, lambda x: sum(B(n, k, x) for k in range(n + 1)), lambda x: c
 
     if identity_id == "alternating-sum":
         n = p["n"]
         _require(n >= 0, f"alternating-sum needs n >= 0 (got n={n})")
-        lhs = Poly1()
-        for k in range(n + 1):
-            lhs = lhs + _basis(n, k) * (-1 if k % 2 else 1)
-        base = Poly1.constant(bump(Fraction(1), "base-const")) + Poly1.x() * bump(
-            Fraction(-2), "base-slope"
-        )
-        rhs = Poly1.constant(1)
-        for _ in range(n):
-            rhs = rhs * base
-        return lhs == rhs
+        c0, c1 = bump(1, "base-const"), bump(-2, "base-slope")
+        lhs = lambda x: sum((-1) ** k * B(n, k, x) for k in range(n + 1))
+        return n, 1, lhs, lambda x: (c0 + c1 * x) ** n
 
     if identity_id == "subdivision-product":
         n, j = _subdivision_params(identity_id, p)
-        lhs = _diag_xy(_basis(n, j))
-        rhs = Poly2()
-        for k in range(j, n + 1):
-            c = bump(Fraction(1), f"term:{k}")
-            rhs = rhs + _ex(_basis(k, j)) * _ey(_basis(n, k)) * c
-        return lhs == rhs * bump(Fraction(1), "scale")
+        cs = {k: bump(1, f"term:{k}") for k in range(j, n + 1)}
+        scale = bump(1, "scale")
+        rhs = lambda x, y: scale * sum(c * B(k, j, x) * B(n, k, y) for k, c in cs.items())
+        return n, 2, lambda x, y: _basis(n, j, x * y), rhs
 
     if identity_id == "subdivision-affine":
         n, j = _subdivision_params(identity_id, p)
-        u = Poly2.x() + Poly2.y() - Poly2.x() * Poly2.y()
-        lhs = Poly2.coerce(_basis(n, j).compose(u))
-        rhs = Poly2()
-        for k in range(j + 1):
-            c = bump(Fraction(1), f"term:{k}")
-            rhs = rhs + _ex(_basis(n - k, j - k)) * _ey(_basis(n, k)) * c
-        return lhs == rhs * bump(Fraction(1), "scale")
+        cs = [bump(1, f"term:{k}") for k in range(j + 1)]
+        scale = bump(1, "scale")
+        rhs = lambda x, y: scale * sum(
+            c * B(n - k, j - k, x) * B(n, k, y) for k, c in enumerate(cs)
+        )
+        return n, 2, lambda x, y: _basis(n, j, x + y - x * y), rhs
 
     if identity_id == "subdivision-trivariate":
         n, j = _subdivision_params(identity_id, p)
-        scale = bump(Fraction(1), "scale")
-        term_c = [bump(Fraction(1), f"term:{k}") for k in range(n + 1)]
-        # Sum_q B(n-k, j-q)(x) B(k, q)(y) does not involve the third variable,
-        # so each of the n+1 is built once, outside the slice loop.
-        inner = []
-        for k in range(n + 1):
-            acc = Poly2()
-            for q in range(j + 1):
-                acc = acc + _ex(_basis(n - k, j - q)) * _ey(_basis(k, q))
-            inner.append(acc)
-        # Slice the blend weight at n+1 rational values; degree n in that
-        # variable, so slice-wise equality settles the identity.
-        for i in range(1, n + 2):
-            w = Fraction(i, n + 1)
-            u = Poly2.x() * (1 - w) + Poly2.y() * w  # y-slot plays the third variable
-            lhs = Poly2.coerce(_basis(n, j).compose(u))
-            rhs = Poly2()
-            for k in range(n + 1):
-                weight = term_c[k] * _basis(n, k).evaluate(w)
-                if weight:
-                    rhs = rhs + inner[k] * weight
-            if lhs != rhs * scale:
-                return False
-        return True
+        scale = bump(1, "scale")
+        cs = [bump(1, f"term:{k}") for k in range(n + 1)]
+
+        # c_k sum_q B_{j-q}^{n-k}(x) B_q^k(y) for every k: free of the blend
+        # weight w, so each (x, y) of the grid builds it once.
+        @functools.lru_cache(maxsize=(n + 1) ** 2)
+        def inner(x, y):
+            return [c * sum(B(n - k, j - q, x) * B(k, q, y) for q in range(j + 1)) for k, c in enumerate(cs)]
+
+        rhs = lambda x, y, w: scale * sum(B(n, k, w) * t for k, t in enumerate(inner(x, y)))
+        return n, 3, lambda x, y, w: _basis(n, j, (1 - w) * x + w * y), rhs
 
     if identity_id == "monomial":
         n, l = p["n"], p["l"]
         _require(0 <= l <= n, f"monomial needs 0 <= l <= n (got n={n}, l={l})")
-        lhs = Poly1.monomial(l, binomial(n, l))
-        rhs = Poly1()
-        for k in range(l, n + 1):
-            rhs = rhs + _basis(n, k) * bump(Fraction(binomial(k, l)), f"term:{k}")
-        return lhs == rhs * bump(Fraction(1), "scale")
+        cs = {k: bump(math.comb(k, l), f"term:{k}") for k in range(l, n + 1)}
+        scale = bump(1, "scale")
+        rhs = lambda x: scale * sum(c * B(n, k, x) for k, c in cs.items())
+        return n, 1, lambda x: math.comb(n, l) * x**l, rhs
 
     if identity_id == "derivative":
         n, k, l = p["n"], p["k"], p["l"]
         _require(0 <= l <= n, f"derivative needs 0 <= l <= n (got n={n}, l={l})")
-        lhs = _basis(n, k).derivative(l)
-        rhs = Poly1()
-        for j in range(l + 1):
-            sign = -1 if (l - j) % 2 else 1
-            c = bump(Fraction(sign * math.comb(l, j)), f"term:{j}")
-            rhs = rhs + _basis(n - l, k - j) * c
-        return lhs == rhs * bump(Fraction(falling_factorial(n, l)), "prefactor")
+        cs = [bump((-1) ** (l - i) * math.comb(l, i), f"term:{i}") for i in range(l + 1)]
+        pf = bump(math.perm(n, l), "prefactor")
+        rhs = lambda x: pf * sum(c * B(n - l, k - i, x) for i, c in enumerate(cs))
+        return n, 1, lambda x: _derivative(n, k, l, x), rhs
 
     if identity_id == "recurrence":
         n, k, v = p["n"], p["k"], p["v"]
         _require(0 <= v <= n, f"recurrence needs 0 <= v <= n (got n={n}, v={v})")
-        lhs = _basis(n, k)
-        rhs = Poly1()
-        for j in range(v + 1):
-            c = bump(Fraction(1), f"term:{j}")
-            rhs = rhs + _basis(v, j) * _basis(n - v, k - j) * c
-        return lhs == rhs * bump(Fraction(1), "scale")
+        cs = [bump(1, f"term:{i}") for i in range(v + 1)]
+        scale = bump(1, "scale")
+        rhs = lambda x: scale * sum(c * B(v, i, x) * B(n - v, k - i, x) for i, c in enumerate(cs))
+        return n, 1, lambda x: B(n, k, x), rhs
 
     if identity_id == "raise-x":
         n, k, d = _raise_params(identity_id, p)
-        lhs = Poly1.monomial(d) * _basis(n, k)
         pf = Fraction(math.factorial(n) * math.factorial(k + d), math.factorial(k) * math.factorial(n + d))
-        return lhs == _basis(n + d, k + d) * bump(pf, "prefactor")
+        pf = bump(pf, "prefactor")
+        return n + d, 1, lambda x: x**d * B(n, k, x), lambda x: pf * B(n + d, k + d, x)
 
     if identity_id == "raise-1mx":
         n, k, d = _raise_params(identity_id, p)
-        lhs = (1 - Poly1.x()) ** d * _basis(n, k)
         pf = Fraction(
-            math.factorial(n) * math.factorial(n + d - k),
-            math.factorial(n + d) * math.factorial(n - k),
+            math.factorial(n) * math.factorial(n + d - k), math.factorial(n + d) * math.factorial(n - k)
         )
-        return lhs == _basis(n + d, k) * bump(pf, "prefactor")
+        pf = bump(pf, "prefactor")
+        return n + d, 1, lambda x: (1 - x) ** d * B(n, k, x), lambda x: pf * B(n + d, k, x)
 
     if identity_id == "elevation":
         n, k = p["n"], p["k"]
         _require(0 <= k <= n, f"elevation needs 0 <= k <= n (got n={n}, k={k})")
-        lhs = _basis(n, k)
-        rhs = _basis(n + 1, k + 1) * bump(Fraction(k + 1), "term:0") + _basis(
-            n + 1, k
-        ) * bump(Fraction(n + 1 - k), "term:1")
-        return lhs == rhs * bump(Fraction(1, n + 1), "prefactor")
+        c0, c1 = bump(k + 1, "term:0"), bump(n + 1 - k, "term:1")
+        pf = bump(Fraction(1, n + 1), "prefactor")
+        rhs = lambda x: pf * (c0 * B(n + 1, k + 1, x) + c1 * B(n + 1, k, x))
+        return n + 1, 1, lambda x: B(n, k, x), rhs
 
     if identity_id == "product":
         n, k1, k2 = p["n"], p["k1"], p["k2"]
         _require(min(n, k1, k2) >= 0, f"product needs n, k1, k2 >= 0 (got {n}, {k1}, {k2})")
-        lhs = _basis(n, k1 + k2)
-        rhs = Poly1()
-        for j in range(n + 1):
-            c = bump(Fraction(math.comb(n, j)), f"term:{j}")
-            rhs = rhs + _basis(j, k1) * _basis(n - j, k2) * c
+        cs = [bump(math.comb(n, i), f"term:{i}") for i in range(n + 1)]
         pf = Fraction(2) ** (k1 + k2 - n) * Fraction(
             math.factorial(k1) * math.factorial(k2), math.factorial(k1 + k2)
         )
-        return lhs == rhs * bump(pf, "prefactor")
+        pf = bump(pf, "prefactor")
+        rhs = lambda x: pf * sum(c * B(i, k1, x) * B(n - i, k2, x) for i, c in enumerate(cs))
+        return n, 1, lambda x: B(n, k1 + k2, x), rhs
 
     if identity_id == "two-point":
         n, k = p["n"], p["k"]
         _require(0 <= 2 * k <= n, f"two-point needs 0 <= 2k <= n (got n={n}, k={k})")
-        x, y = Poly2.x(), Poly2.y()
-        lhs = (x * y) ** k * (-1 if k % 2 else 1) * (y - x) ** (n - 2 * k)
-        rhs = Poly2()
-        for j in range(n + 1):
-            sign = -1 if (n - j) % 2 else 1
-            c = bump(Fraction(sign * math.comb(n, j)), f"term:{j}")
-            rhs = rhs + _ex(_basis(j, k)) * _ey(_basis(n - j, k)) * c
-        pf = Fraction(math.factorial(k) ** 2, falling_factorial(n, 2 * k))
-        return lhs == rhs * bump(pf, "prefactor")
+        cs = [bump((-1) ** (n - i) * math.comb(n, i), f"term:{i}") for i in range(n + 1)]
+        pf = bump(Fraction(math.factorial(k) ** 2, math.perm(n, 2 * k)), "prefactor")
+        rhs = lambda x, y: pf * sum(c * B(i, k, x) * B(n - i, k, y) for i, c in enumerate(cs))
+        return n, 2, lambda x, y: (-x * y) ** k * (y - x) ** (n - 2 * k), rhs
 
     if identity_id == "tg1":
         n, k = _finite_sum_params(identity_id, p)
-        lhs = Poly1()
-        for j in range(n - k + 1):
-            lhs = lhs + Poly1.monomial(j, math.comb(n, j)) * _basis(n - j, k)
-        return lhs == Poly1.monomial(k, bump(Fraction(binomial(n, k)), "rhs-const"))
+        c = bump(math.comb(n, k), "rhs-const")
+        lhs = lambda x: sum(math.comb(n, i) * x**i * B(n - i, k, x) for i in range(n - k + 1))
+        return n, 1, lhs, lambda x: c * x**k
 
     if identity_id == "tg2":
         n, k = _finite_sum_params(identity_id, p)
-        lhs = Poly1()
-        for j in range(n - k + 1):
-            lhs = lhs + _basis(n - j, k) * ((-1 if j % 2 else 1) * math.comb(n, j))
-        const = Fraction((-1 if (n - k) % 2 else 1) * binomial(n, k))
-        return lhs == Poly1.monomial(n, bump(const, "rhs-const"))
+        c = bump((-1) ** (n - k) * math.comb(n, k), "rhs-const")
+        lhs = lambda x: sum((-1) ** i * math.comb(n, i) * B(n - i, k, x) for i in range(n - k + 1))
+        return n, 1, lhs, lambda x: c * x**n
 
     if identity_id == "tg5":
         n, k = _finite_sum_params(identity_id, p)
-        lhs = Poly1()
-        omx = 1 - Poly1.x()
-        for j in range(n - k + 1):
-            lhs = lhs + omx**j * _basis(n - j, k) * ((-1 if j % 2 else 1) * math.comb(n, j))
-        rhs = Poly1.monomial(k) if n == k else Poly1()
-        rhs = rhs + Poly1.constant(bump(Fraction(0), "branch-const"))
-        return lhs == rhs
+        c = bump(0, "branch-const")
+
+        def lhs(x):
+            return sum((-1) ** i * math.comb(n, i) * (1 - x) ** i * B(n - i, k, x) for i in range(n - k + 1))
+
+        return n, 1, lhs, lambda x: (x**k if n == k else 0) + c
 
     raise ValueError(f"unknown identity id: {identity_id!r}")

@@ -59,25 +59,12 @@ class IdentityReport:
         }
 
 
-def _leading_monomial_poly1(diff: Poly1) -> int:
-    for i, _ in diff.monomials():
-        return i
-    raise ValueError("zero polynomial has no leading monomial")
-
-
-def _leading_monomial_poly2(diff: Poly2) -> tuple[int, int]:
-    terms = diff.monomials()
-    if not terms:
-        raise ValueError("zero polynomial has no leading monomial")
-    return terms[0][0]
-
-
 def compare_poly1(identity_id: str, params: Mapping[str, int], lhs: Poly1, rhs: Poly1) -> IdentityReport:
     """Canonical-form equality of two univariate polynomials."""
     diff = lhs - rhs
     if not diff:
         return IdentityReport(identity_id, params, True, METHOD_SYMBOLIC)
-    i = _leading_monomial_poly1(diff)
+    i, _ = next(diff.monomials())
     witness = Witness(
         lhs=scalar_str(lhs.coefficient(i)),
         rhs=scalar_str(rhs.coefficient(i)),
@@ -91,7 +78,7 @@ def compare_poly2(identity_id: str, params: Mapping[str, int], lhs: Poly2, rhs: 
     diff = lhs - rhs
     if not diff:
         return IdentityReport(identity_id, params, True, METHOD_SYMBOLIC)
-    i, j = _leading_monomial_poly2(diff)
+    (i, j), _ = diff.monomials()[0]
     witness = Witness(
         lhs=scalar_str(lhs.coefficient(i, j)),
         rhs=scalar_str(rhs.coefficient(i, j)),
