@@ -1,9 +1,12 @@
 """Parametrized exact checks for the classical Bernstein-basis identities.
 
 Each `verify_*` builds both sides of one identity and compares canonical
-forms (or, for the three-variable subdivision identity, exact values on a
-rational tensor grid dense enough that grid equality is equivalent to
-polynomial equality).
+forms.  A side that is a sum is one fused integer sum: one
+`Poly1.sum_of_products` (or `Poly2`) call over integer-weighted terms,
+canonicalised once, with any `Fraction` prefactor applied after it.  The
+three-variable subdivision identity compares exact values, in integers
+only, on a rational tensor grid dense enough that grid equality is
+equivalent to polynomial equality.
 
 Every right-hand side exposes named "mutation slots": passing a slot name
 bumps that one scalar constant by +1, which must flip the verdict for at
@@ -28,6 +31,16 @@ from .bernstein import bernstein_basis, binomial, falling_factorial
 from .polynomials import Poly1, Poly2, scalar_str
 from .report import METHOD_GRID, IdentityReport, Witness, compare_poly1, compare_poly2
 
+# Fixed factors, built from their coefficients so that no check adds
+# polynomials.  A lone basis term of a fused sum is paired with `_ONE`.
+_ONE = Poly1.constant(1)
+_ONE_MINUS_X = Poly1([1, -1])
+_XY = Poly2([[0, 0], [0, 1]])
+_Y_MINUS_X = Poly2([[0, 1], [-1, 0]])
+# The affine blend u = (1-y)x + y = x + y - xy, and 1 - u = (1-x)(1-y).
+_U = Poly2([[0, 1], [1, -1]])
+_ONE_MINUS_U = Poly2([[1, -1], [-1, 1]])
+
 
 def _bump(base, slot: str, mutate: Optional[str]):
     """Add one to a named scalar constant when that slot is selected."""
@@ -38,10 +51,8 @@ def verify_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Partition of unity: the degree-n basis functions sum to 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lhs = Poly1()
-    for k in range(n + 1):
-        lhs = lhs + bernstein_basis(n, k)
-    rhs = Poly1.constant(_bump(Fraction(1), "rhs-const", mutate))
+    lhs = Poly1.sum_of_products((1, bernstein_basis(n, k), _ONE) for k in range(n + 1))
+    rhs = Poly1.constant(_bump(1, "rhs-const", mutate))
     return compare_poly1("sum", {"n": n}, lhs, rhs)
 
 
@@ -49,38 +60,39 @@ def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityR
     """Alternating sum of the degree-n basis functions equals (1-2x)^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lhs = Poly1()
-    for k in range(n + 1):
-        term = bernstein_basis(n, k)
-        lhs = lhs + (-term if k % 2 else term)
-    c0 = _bump(Fraction(1), "base-const", mutate)
-    c1 = _bump(Fraction(-2), "base-slope", mutate)
-    rhs = (Poly1.constant(c0) + Poly1.x() * c1) ** n
+    lhs = Poly1.sum_of_products(((-1) ** k, bernstein_basis(n, k), _ONE) for k in range(n + 1))
+    c0 = _bump(1, "base-const", mutate)
+    c1 = _bump(-2, "base-slope", mutate)
+    rhs = Poly1([c0, c1]) ** n
     return compare_poly1("alternating-sum", {"n": n}, lhs, rhs)
 
 
 def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
     lhs = bernstein_basis(n, j).at_xy()
-    scale = _bump(Fraction(1), "scale", mutate)
-    rhs = Poly2()
-    for k in range(j, n + 1):
-        c = _bump(Fraction(1), f"term:{k}", mutate)
-        rhs = rhs + bernstein_basis(k, j).as_poly2_in_x() * bernstein_basis(n, k).as_poly2_in_y() * c
-    return compare_poly2("subdivision-product", {"n": n, "j": j}, lhs, rhs * scale)
+    scale = _bump(1, "scale", mutate)
+    rhs = Poly2.sum_of_products(
+        (
+            scale * _bump(1, f"term:{k}", mutate),
+            bernstein_basis(k, j).as_poly2_in_x(),
+            bernstein_basis(n, k).as_poly2_in_y(),
+        )
+        for k in range(j, n + 1)
+    )
+    return compare_poly2("subdivision-product", {"n": n, "j": j}, lhs, rhs)
 
 
 def _subdivision_affine(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
-    # 1 - ((1-y)x + y) factors as (1-x)(1-y), which keeps the left side cheap.
-    u = Poly2.x() + Poly2.y() - Poly2.x() * Poly2.y()
-    one_minus_u = (1 - Poly2.x()) * (1 - Poly2.y())
-    lhs = u**j * one_minus_u ** (n - j) * binomial(n, j)
-    scale = _bump(Fraction(1), "scale", mutate)
-    rhs = Poly2()
-    for k in range(j + 1):
-        c = _bump(Fraction(1), f"term:{k}", mutate)
-        term = bernstein_basis(n - k, j - k).as_poly2_in_x() * bernstein_basis(n, k).as_poly2_in_y()
-        rhs = rhs + term * c
-    return compare_poly2("subdivision-affine", {"n": n, "j": j}, lhs, rhs * scale)
+    lhs = _U**j * _ONE_MINUS_U ** (n - j) * binomial(n, j)
+    scale = _bump(1, "scale", mutate)
+    rhs = Poly2.sum_of_products(
+        (
+            scale * _bump(1, f"term:{k}", mutate),
+            bernstein_basis(n - k, j - k).as_poly2_in_x(),
+            bernstein_basis(n, k).as_poly2_in_y(),
+        )
+        for k in range(j + 1)
+    )
+    return compare_poly2("subdivision-affine", {"n": n, "j": j}, lhs, rhs)
 
 
 def grid_nodes(degree_bound: int, margin: int = 1) -> list[Fraction]:
@@ -91,75 +103,62 @@ def grid_nodes(degree_bound: int, margin: int = 1) -> list[Fraction]:
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_value_table(n: int, margin: int) -> tuple[tuple[Fraction, ...], tuple]:
-    """Per grid node i/c, the integers B_p^m(i/c) c^m for p <= m <= n,
-    indexed as table[node][m][p].
-
-    Scaling by c^m clears every denominator, so the grid comparison can run
-    in integer arithmetic: both sides of the identity, evaluated at grid
-    points, are integers over the common denominator c^(2n).
+def _basis_value_table(n: int, margin: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per grid node i/c of `grid_nodes(n, margin)`, the integers
+    B_p^m(i/c) c^m = C(m,p) i^p (c-i)^(m-p) for p <= m <= n, indexed as
+    table[i - 1][m][p].  Scaling by c^m clears every denominator, so both
+    sides of the identity are integers over c^(2n) at every grid point.
     """
-    nodes = tuple(grid_nodes(n, margin))
-    c = nodes[0].denominator
+    c = n + 1 + margin
     table = []
-    for v in nodes:
-        rows = []
-        for m in range(n + 1):
-            cm = c**m
-            row = []
-            for p in range(m + 1):
-                scaled = bernstein_basis(m, p).evaluate(v) * cm
-                row.append(scaled.numerator)  # exact: denominator divides c^m
-            rows.append(tuple(row))
-        table.append(tuple(rows))
-    return nodes, tuple(table)
+    for i in range(1, c + 1):
+        up = [i**p for p in range(n + 1)]
+        down = [(c - i) ** q for q in range(n + 1)]
+        table.append(
+            tuple(tuple(math.comb(m, p) * up[p] * down[m - p] for p in range(m + 1)) for m in range(n + 1))
+        )
+    return tuple(table)
 
 
 def _subdivision_trivariate(n: int, j: int, mutate: Optional[str], grid_margin: int) -> IdentityReport:
     """Blend of two interval maps: checked on a rational tensor grid because
-    the statement genuinely involves three variables."""
-    nodes, tbl = _basis_value_table(n, grid_margin)
-    count = len(nodes)
-    c = count  # nodes are i/c for i = 1..c (as reduced Fractions)
+    the statement genuinely involves three variables.  At the grid point
+    (ix, iy, iz)/c both sides are integers over c^(2n)."""
+    tbl = _basis_value_table(n, grid_margin)
+    c = len(tbl)
     c2 = c * c
-    scale = 2 if mutate == "scale" else 1
-    term_c = [2 if mutate == f"term:{k}" else 1 for k in range(n + 1)]
+    scale = _bump(1, "scale", mutate)
+    weights = [scale * _bump(1, f"term:{k}", mutate) for k in range(n + 1)]
+    # The blend (1-y)x + yz is u/c^2 with u = (c-iy)ix + iy iz in 0..c^2.
     cnj = binomial(n, j)
-    num = list(range(1, count + 1))
-    # inner[xi][zi][k] = term_c[k] * sum_p B_p^{n-k}(x) B_{j-p}^k(z), scaled to
-    # integers; it involves x and z only, so it is built once, not at every y.
+    lhs_at = [cnj * u**j * (c2 - u) ** (n - j) for u in range(c2 + 1)]
+    # inner[ix-1][iz-1][k] = weights[k] * sum_p B_p^{n-k}(x) B_{j-p}^k(z),
+    # built once, not at every y.  With z rows reversed both factors run
+    # forward in p from max(0, j-k); map() stops at p = min(j, n-k).
+    reversed_tbl = [[row[::-1] for row in tz] for tz in tbl]
     inner = [
         [
             [
-                term_c[k]
-                * sum(tx[n - k][p] * tz[k][j - p] for p in range(max(0, j - k), min(j, n - k) + 1))
+                weights[k] * sum(map(operator.mul, tx[n - k][max(0, j - k) :], rz[k][max(0, k - j) :]))
                 for k in range(n + 1)
             ]
-            for tz in tbl
+            for rz in reversed_tbl
         ]
         for tx in tbl
     ]
-    for xi in range(count):
-        ix = num[xi]
-        inner_x = inner[xi]
-        for yi in range(count):
-            iy = num[yi]
+    degree_n_rows = [t[n] for t in tbl]
+    for ix, inner_x in enumerate(inner, 1):
+        for iy, ty in enumerate(degree_n_rows, 1):
             base = (c - iy) * ix
-            ty = tbl[yi][n]
-            for zi in range(count):
-                u = base + iy * num[zi]  # integer numerator of the blend over c^2
-                lhs = cnj * u**j * (c2 - u) ** (n - j)
-                rhs = scale * sum(map(operator.mul, ty, inner_x[zi]))
+            for iz, inner_xz in enumerate(inner_x, 1):
+                lhs = lhs_at[base + iy * iz]
+                rhs = sum(map(operator.mul, ty, inner_xz))
                 if lhs != rhs:
                     den = c2**n
                     witness = Witness(
                         lhs=scalar_str(Fraction(lhs, den)),
                         rhs=scalar_str(Fraction(rhs, den)),
-                        point={
-                            "x": scalar_str(nodes[xi]),
-                            "y": scalar_str(nodes[yi]),
-                            "z": scalar_str(nodes[zi]),
-                        },
+                        point={v: scalar_str(Fraction(i, c)) for v, i in (("x", ix), ("y", iy), ("z", iz))},
                     )
                     return IdentityReport(
                         "subdivision-trivariate", {"n": n, "j": j}, False, METHOD_GRID, witness
@@ -192,12 +191,12 @@ def verify_monomial(n: int, l: int, *, mutate: Optional[str] = None) -> Identity
     if not 0 <= l <= n:
         raise ValueError(f"power l={l} must lie in 0..{n}")
     lhs = Poly1.monomial(l, binomial(n, l))
-    scale = _bump(Fraction(1), "scale", mutate)
-    rhs = Poly1()
-    for k in range(l, n + 1):
-        c = _bump(Fraction(binomial(k, l)), f"term:{k}", mutate)
-        rhs = rhs + bernstein_basis(n, k) * c
-    return compare_poly1("monomial", {"n": n, "l": l}, lhs, rhs * scale)
+    scale = _bump(1, "scale", mutate)
+    rhs = Poly1.sum_of_products(
+        (scale * _bump(binomial(k, l), f"term:{k}", mutate), bernstein_basis(n, k), _ONE)
+        for k in range(l, n + 1)
+    )
+    return compare_poly1("monomial", {"n": n, "l": l}, lhs, rhs)
 
 
 def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -206,14 +205,16 @@ def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -
     if not 0 <= l <= n:
         raise ValueError(f"derivative order l={l} must lie in 0..{n}")
     lhs = bernstein_basis(n, k).derivative(l)
-    prefactor = _bump(Fraction(falling_factorial(n, l)), "prefactor", mutate)
-    rhs = Poly1()
-    for jj in range(l + 1):
-        sign = -1 if (l - jj) % 2 else 1
-        c = _bump(Fraction(sign * math.comb(l, jj)), f"term:{jj}", mutate)
-        if c:
-            rhs = rhs + bernstein_basis(n - l, k - jj) * c
-    return compare_poly1("derivative", {"n": n, "k": k, "l": l}, lhs, rhs * prefactor)
+    prefactor = _bump(falling_factorial(n, l), "prefactor", mutate)
+    rhs = Poly1.sum_of_products(
+        (
+            prefactor * _bump((-1) ** (l - jj) * math.comb(l, jj), f"term:{jj}", mutate),
+            bernstein_basis(n - l, k - jj),
+            _ONE,
+        )
+        for jj in range(l + 1)
+    )
+    return compare_poly1("derivative", {"n": n, "k": k, "l": l}, lhs, rhs)
 
 
 def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -222,12 +223,12 @@ def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -
     if not 0 <= v <= n:
         raise ValueError(f"split order v={v} must lie in 0..{n}")
     lhs = bernstein_basis(n, k)
-    scale = _bump(Fraction(1), "scale", mutate)
-    rhs = Poly1()
-    for j in range(v + 1):
-        c = _bump(Fraction(1), f"term:{j}", mutate)
-        rhs = rhs + bernstein_basis(v, j) * bernstein_basis(n - v, k - j) * c
-    return compare_poly1("recurrence", {"n": n, "k": k, "v": v}, lhs, rhs * scale)
+    scale = _bump(1, "scale", mutate)
+    rhs = Poly1.sum_of_products(
+        (scale * _bump(1, f"term:{j}", mutate), bernstein_basis(v, j), bernstein_basis(n - v, k - j))
+        for j in range(v + 1)
+    )
+    return compare_poly1("recurrence", {"n": n, "k": k, "v": v}, lhs, rhs)
 
 
 def verify_degree_ops(
@@ -249,7 +250,7 @@ def verify_degree_ops(
     if variant == "raise-1mx":
         if d < 1:
             raise ValueError("raise power d must be at least 1")
-        lhs = (1 - Poly1.x()) ** d * bernstein_basis(n, k)
+        lhs = _ONE_MINUS_X**d * bernstein_basis(n, k)
         pf = Fraction(
             math.factorial(n) * math.factorial(n + d - k),
             math.factorial(n + d) * math.factorial(n - k),
@@ -261,10 +262,12 @@ def verify_degree_ops(
             raise ValueError("elevation is a single degree step (d must be 1)")
         lhs = bernstein_basis(n, k)
         pf = _bump(Fraction(1, n + 1), "prefactor", mutate)
-        c0 = _bump(Fraction(k + 1), "term:0", mutate)
-        c1 = _bump(Fraction(n + 1 - k), "term:1", mutate)
-        rhs = (bernstein_basis(n + 1, k + 1) * c0 + bernstein_basis(n + 1, k) * c1) * pf
-        return compare_poly1("elevation", {"n": n, "k": k}, lhs, rhs)
+        c0 = _bump(k + 1, "term:0", mutate)
+        c1 = _bump(n + 1 - k, "term:1", mutate)
+        rhs = Poly1.sum_of_products(
+            [(c0, bernstein_basis(n + 1, k + 1), _ONE), (c1, bernstein_basis(n + 1, k), _ONE)]
+        )
+        return compare_poly1("elevation", {"n": n, "k": k}, lhs, rhs * pf)
     raise ValueError(f"unknown degree operation variant: {variant!r}")
 
 
@@ -277,12 +280,10 @@ def verify_product(n: int, k1: int, k2: int, *, mutate: Optional[str] = None) ->
         math.factorial(k1) * math.factorial(k2), math.factorial(k1 + k2)
     )
     prefactor = _bump(pf, "prefactor", mutate)
-    rhs = Poly1()
-    for j in range(n + 1):
-        c = _bump(Fraction(math.comb(n, j)), f"term:{j}", mutate)
-        term = bernstein_basis(j, k1) * bernstein_basis(n - j, k2)
-        if term:
-            rhs = rhs + term * c
+    rhs = Poly1.sum_of_products(
+        (_bump(math.comb(n, j), f"term:{j}", mutate), bernstein_basis(j, k1), bernstein_basis(n - j, k2))
+        for j in range(n + 1)
+    )
     return compare_poly1("product", {"n": n, "k1": k1, "k2": k2}, lhs, rhs * prefactor)
 
 
@@ -293,18 +294,17 @@ def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> Identit
         raise ValueError("k must be nonnegative")
     if n < 2 * k:
         raise ValueError(f"two-point identity needs n >= 2k (got n={n}, k={k})")
-    x, y = Poly2.x(), Poly2.y()
-    sign_k = -1 if k % 2 else 1
-    lhs = (x * y) ** k * sign_k * (y - x) ** (n - 2 * k)
+    lhs = _XY**k * _Y_MINUS_X ** (n - 2 * k) * (-1) ** k
     pf = Fraction(math.factorial(k) ** 2, falling_factorial(n, 2 * k))
     prefactor = _bump(pf, "prefactor", mutate)
-    rhs = Poly2()
-    for j in range(n + 1):
-        sign = -1 if (n - j) % 2 else 1
-        c = _bump(Fraction(sign * math.comb(n, j)), f"term:{j}", mutate)
-        term = bernstein_basis(j, k).as_poly2_in_x() * bernstein_basis(n - j, k).as_poly2_in_y()
-        if term:
-            rhs = rhs + term * c
+    rhs = Poly2.sum_of_products(
+        (
+            _bump((-1) ** (n - j) * math.comb(n, j), f"term:{j}", mutate),
+            bernstein_basis(j, k).as_poly2_in_x(),
+            bernstein_basis(n - j, k).as_poly2_in_y(),
+        )
+        for j in range(n + 1)
+    )
     return compare_poly2("two-point", {"n": n, "k": k}, lhs, rhs * prefactor)
 
 
@@ -317,31 +317,28 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
     if not 1 <= k <= n:
         raise ValueError(f"index k={k} must lie in 1..{n}")
     if variant == "tg1":
-        lhs = Poly1()
-        for j in range(n - k + 1):
-            lhs = lhs + Poly1.monomial(j, math.comb(n, j)) * bernstein_basis(n - j, k)
-        rhs = Poly1.monomial(k, _bump(Fraction(binomial(n, k)), "rhs-const", mutate))
+        lhs = Poly1.sum_of_products(
+            (math.comb(n, j), Poly1.monomial(j), bernstein_basis(n - j, k)) for j in range(n - k + 1)
+        )
+        rhs = Poly1.monomial(k, _bump(binomial(n, k), "rhs-const", mutate))
         return compare_poly1("tg1", {"n": n, "k": k}, lhs, rhs)
     if variant == "tg2":
-        lhs = Poly1()
-        for j in range(n - k + 1):
-            sign = -1 if j % 2 else 1
-            lhs = lhs + bernstein_basis(n - j, k) * (sign * math.comb(n, j))
-        const = Fraction((-1 if (n - k) % 2 else 1) * binomial(n, k))
-        rhs = Poly1.monomial(n, _bump(const, "rhs-const", mutate))
+        lhs = Poly1.sum_of_products(
+            ((-1) ** j * math.comb(n, j), bernstein_basis(n - j, k), _ONE) for j in range(n - k + 1)
+        )
+        rhs = Poly1.monomial(n, _bump((-1) ** (n - k) * binomial(n, k), "rhs-const", mutate))
         return compare_poly1("tg2", {"n": n, "k": k}, lhs, rhs)
     if variant == "tg5":
-        lhs = Poly1()
-        one_minus_x = 1 - Poly1.x()
-        for j in range(n - k + 1):
-            sign = -1 if j % 2 else 1
-            lhs = lhs + one_minus_x**j * bernstein_basis(n - j, k) * (sign * math.comb(n, j))
-        rhs = Poly1.monomial(k) if n == k else Poly1()
-        rhs = rhs + Poly1.constant(_bump(Fraction(0), "branch-const", mutate))
+        lhs = Poly1.sum_of_products(
+            ((-1) ** j * math.comb(n, j), _ONE_MINUS_X**j, bernstein_basis(n - j, k))
+            for j in range(n - k + 1)
+        )
+        # x^k on the branch n = k, plus the branch constant (0 unless mutated).
+        rhs = Poly1.sum_of_products(
+            [(int(n == k), Poly1.monomial(k), _ONE), (_bump(0, "branch-const", mutate), _ONE, _ONE)]
+        )
         return compare_poly1("tg5", {"n": n, "k": k}, lhs, rhs)
     raise ValueError(f"unknown finite-sum variant: {variant!r}")
-
-
 
 
 # --- the suite registry --------------------------------------------------------

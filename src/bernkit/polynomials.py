@@ -123,7 +123,8 @@ class Poly1:
 
         The univariate twin of `Poly2.sum_of_products`: the products are
         accumulated into one integer array over the lcm of their
-        denominators and canonicalised once.
+        denominators and canonicalised once.  A constant factor scales the
+        other factor's coefficients without a `conv1` call.
         """
         live = [(w, a, b) for w, a, b in terms if w and a._num and b._num]
         if not live:
@@ -137,8 +138,17 @@ class Poly1:
         out = [0] * size
         for w, a, b in live:
             m = w * (den // (a._den * b._den))
+            an, bn = a._num, b._num
+            if len(an) == 1:
+                m *= an[0]
+                prod = bn
+            elif len(bn) == 1:
+                m *= bn[0]
+                prod = an
+            else:
+                prod = conv1(an, bn)
             q = 0
-            for v in conv1(a._num, b._num):
+            for v in prod:
                 if v:
                     out[q] += m * v
                 q += 1
@@ -347,7 +357,8 @@ class Poly2:
 
         The products are accumulated into one integer grid over the lcm of
         their denominators and canonicalised once, instead of once per
-        product and once per partial sum.
+        product and once per partial sum.  A constant factor (a 1x1 grid)
+        scales the other factor's grid without a `conv2` call.
         """
         live = [(w, a, b) for w, a, b in terms if w and a._num and b._num]
         if not live:
@@ -362,7 +373,16 @@ class Poly2:
         out = [[0] * cols for _ in range(rows)]
         for w, a, b in live:
             m = w * (den // (a._den * b._den))
-            for orow, prow in zip(out, conv2(a._num, b._num)):
+            an, bn = a._num, b._num
+            if len(an) == 1 and len(an[0]) == 1:
+                m *= an[0][0]
+                prod = bn
+            elif len(bn) == 1 and len(bn[0]) == 1:
+                m *= bn[0][0]
+                prod = an
+            else:
+                prod = conv2(an, bn)
+            for orow, prow in zip(out, prod):
                 q = 0
                 for v in prow:
                     if v:

@@ -60,11 +60,11 @@ class IdentityReport:
 
 
 def compare_poly1(identity_id: str, params: Mapping[str, int], lhs: Poly1, rhs: Poly1) -> IdentityReport:
-    """Canonical-form equality of two univariate polynomials."""
-    diff = lhs - rhs
-    if not diff:
+    """Canonical-form equality of two univariate polynomials; the difference
+    is built only to find a failing check's witness."""
+    if lhs == rhs:
         return IdentityReport(identity_id, params, True, METHOD_SYMBOLIC)
-    i, _ = next(diff.monomials())
+    i, _ = next((lhs - rhs).monomials())
     witness = Witness(
         lhs=scalar_str(lhs.coefficient(i)),
         rhs=scalar_str(rhs.coefficient(i)),
@@ -74,11 +74,11 @@ def compare_poly1(identity_id: str, params: Mapping[str, int], lhs: Poly1, rhs: 
 
 
 def compare_poly2(identity_id: str, params: Mapping[str, int], lhs: Poly2, rhs: Poly2) -> IdentityReport:
-    """Canonical-form equality of two bivariate polynomials."""
-    diff = lhs - rhs
-    if not diff:
+    """Canonical-form equality of two bivariate polynomials; the difference
+    is built only to find a failing check's witness."""
+    if lhs == rhs:
         return IdentityReport(identity_id, params, True, METHOD_SYMBOLIC)
-    (i, j), _ = diff.monomials()[0]
+    (i, j), _ = (lhs - rhs).monomials()[0]
     witness = Witness(
         lhs=scalar_str(lhs.coefficient(i, j)),
         rhs=scalar_str(rhs.coefficient(i, j)),

@@ -1,7 +1,10 @@
 """The identity suite: spec-level examples, error paths, and witnesses."""
 
+import collections
 import functools
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -10,9 +13,11 @@ import pytest
 from bernkit.bernstein import bernstein_basis
 from bernkit.identities import (
     SUITE_IDS,
+    _basis_value_table,
     grid_nodes,
     mutation_slots,
     run_identity,
+    suite_params,
     verify_alternating_sum,
     verify_degree_ops,
     verify_derivative,
@@ -348,3 +353,63 @@ class TestDispatchAndSlots:
         for identity_id in SUITE_IDS:
             slots = mutation_slots(identity_id, {"n": 4, "j": 2, "k": 1, "l": 1, "v": 1, "k1": 1, "k2": 1, "d": 1})
             assert slots
+
+
+def _suite_cases(max_degree=6, trivariate_degree=5):
+    """Every suite (identity id, parameter tuple), degree-capped."""
+    for identity_id in SUITE_IDS:
+        cap = trivariate_degree if identity_id == "subdivision-trivariate" else max_degree
+        for params in suite_params(identity_id, cap):
+            yield identity_id, params
+
+
+def test_clean_checks_add_no_polynomials(monkeypatch):
+    # Each side is one fused sum (or a fixed product), so a passing check
+    # adds no polynomials; a return to term-by-term accumulation
+    # (acc = acc + term) shows up here as additions that grow with n.
+    adds = collections.Counter()
+    for cls in (Poly1, Poly2):
+        add = cls.__add__
+
+        def counting(self, other, add=add):
+            adds[current] += 1
+            return add(self, other)
+
+        monkeypatch.setattr(cls, "__add__", counting)
+        monkeypatch.setattr(cls, "__radd__", counting)
+    for current, params in _suite_cases():
+        assert run_identity(current, params).passed, (current, params)
+    assert sum(adds.values()) == 0, dict(adds)
+    current = "probe"  # the counters see an addition in either ring
+    assert Poly1.x() + 1 == 1 + Poly1.x() and Poly2.x() + Poly2.y() == Poly2([[0, 1], [1]])
+    assert adds == {"probe": 3}
+
+
+def test_basis_value_table_is_scaled_basis_values():
+    for n in range(13):
+        for margin in range(3):
+            table = _basis_value_table(n, margin)
+            c = n + 1 + margin
+            assert len(table) == c
+            for i, rows in enumerate(table, 1):
+                want = [
+                    [bernstein_basis(m, p).evaluate(Fraction(i, c)) * c**m for p in range(m + 1)]
+                    for m in range(n + 1)
+                ]
+                assert [list(row) for row in rows] == want, (n, margin, i)
+                assert all(type(v) is int for row in rows for v in row)
+
+
+# sha256 over the JSON of the report of every suite tuple up to degree 6
+# (trivariate 5), clean and with each of its mutation slots, in suite order.
+# A changed verdict, witness or report byte of any slot changes the digest.
+EVERY_SLOT_DIGEST = "2048f93e7f8346737dca9facd91c03485cce9a41df0f83b5a28571ea73790574"
+
+
+def test_every_slot_report_digest_is_unchanged():
+    digest = hashlib.sha256()
+    for identity_id, params in _suite_cases():
+        for slot in (None, *mutation_slots(identity_id, params)):
+            report = run_identity(identity_id, params, mutate=slot)
+            digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == EVERY_SLOT_DIGEST

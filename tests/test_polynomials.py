@@ -171,6 +171,23 @@ class TestPoly1Arithmetic:
         assert Poly1.sum_of_products(terms) == Poly1([0, 2, 3])
         assert len(calls) == 2
 
+    def test_constant_operands_make_no_kernel_call(self, monkeypatch):
+        half, p = Poly1([Fraction(1, 2)]), Poly1([Fraction(1, 3), 0, -2])
+        terms = [(3, half, p), (-2, p, Poly1([Fraction(-5, 4)])), (1, half, half), (2, Poly1.x(), p)]
+        want = Poly1()
+        for w, a, b in terms:
+            want = want + a * b * w
+        calls = []
+
+        def counting_conv1(a, b):
+            calls.append((a, b))
+            return conv1(a, b)
+
+        monkeypatch.setattr(polynomials, "conv1", counting_conv1)
+        got = Poly1.sum_of_products(terms)
+        assert (got._num, got._den) == (want._num, want._den)
+        assert calls == [(Poly1.x()._num, p._num)]
+
     @given(poly1_st, poly1_st)
     def test_compose_agrees_with_evaluation(self, p, q):
         x = Fraction(2, 7)
@@ -209,6 +226,23 @@ class TestPoly2:
     def test_sum_of_products_of_nothing_is_zero(self):
         zero = Poly2.sum_of_products([(0, Poly2.x(), Poly2.y()), (3, Poly2(), Poly2.x())])
         assert (zero._num, zero._den) == ((), 1)
+
+    def test_constant_operands_make_no_kernel_call(self, monkeypatch):
+        c, p = Poly2([[Fraction(3, 2)]]), Poly2([[1, Fraction(1, 3)], [0, -2]])
+        terms = [(2, c, p), (-1, p, Poly2.constant(-4)), (5, c, c), (1, Poly2.x(), Poly2.y())]
+        want = Poly2()
+        for w, a, b in terms:
+            want = want + a * b * w
+        calls = []
+
+        def counting_conv2(a, b):
+            calls.append((a, b))
+            return conv2(a, b)
+
+        monkeypatch.setattr(polynomials, "conv2", counting_conv2)
+        got = Poly2.sum_of_products(terms)
+        assert (got._num, got._den) == (want._num, want._den)
+        assert calls == [(Poly2.x()._num, Poly2.y()._num)]
 
     def test_xy_product(self):
         assert Poly2.x() * Poly2.y() == Poly2([[0, 0], [0, 1]])
