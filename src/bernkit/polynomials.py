@@ -229,7 +229,15 @@ class Poly1:
             return Poly1._raw([v * q.numerator for v in self._num], self._den * q.denominator)
         if not isinstance(other, Poly1):
             return NotImplemented
-        return Poly1._raw(conv1(self._num, other._num), self._den * other._den)
+        an, bn = self._num, other._num
+        # A constant factor scales the other's numerators; no `conv1` call.
+        if len(bn) == 1:
+            prod = [v * bn[0] for v in an]
+        elif len(an) == 1:
+            prod = [an[0] * v for v in bn]
+        else:
+            prod = conv1(an, bn)
+        return Poly1._raw(prod, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -492,7 +500,16 @@ class Poly2:
             )
         if not isinstance(other, Poly2):
             return NotImplemented
-        grid = conv2(self._num, other._num)
+        an, bn = self._num, other._num
+        # A constant factor (a 1x1 grid) scales the other's grid; no `conv2` call.
+        if len(bn) == 1 and len(bn[0]) == 1:
+            c = bn[0][0]
+            grid = [[v * c for v in r] for r in an]
+        elif len(an) == 1 and len(an[0]) == 1:
+            c = an[0][0]
+            grid = [[c * v for v in r] for r in bn]
+        else:
+            grid = conv2(an, bn)
         return Poly2._raw(grid, self._den * other._den)
 
     __rmul__ = __mul__

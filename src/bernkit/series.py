@@ -15,11 +15,13 @@ diverge, so out-of-domain requests are hard errors rather than NaNs.
 package: a quadrature approximation of the integral of t^k e^(-x t),
 returned beside its exact closed form k!/x^(k+1) so the pair can be
 checked against each other.  One composite-Simpson pass per (x, T, steps)
-serves every power t^0..t^max(k, SHARED_K_MAX): each grid point pays one
-`exp`, and the pass results are memoised in a cache of at most
-`SIMPSON_CACHE_SIZE` entries, so callers that ask for the powers of one
-rate one at a time, in any order, still pay one pass per rate.  Each
-power's float is bit-identical to a separate loop over that power alone.
+serves a block of five powers t^first..t^(first+4), first a multiple of
+five, so t^0..t^SHARED_K_MAX share one pass: each grid point pays one
+`exp` and one unrolled body adds all five powers.  The blocks are memoised
+in a cache of at most `SIMPSON_CACHE_SIZE` entries, so callers that ask for
+the powers of one rate one at a time, in any order, still pay one pass per
+rate and block.  Each power's float is bit-identical to a separate loop
+over that power alone.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, cycle, islice
 from typing import Union
 
 from .polynomials import ScalarLike, as_scalar, scalar_str
@@ -35,10 +38,13 @@ from .polynomials import ScalarLike, as_scalar, scalar_str
 SERIES_IDS = ("TG3", "TG4")
 
 # Powers t^0..t^SHARED_K_MAX share one quadrature pass (the campaign's
-# LAPLACE grid runs k over exactly this range); a larger k widens its pass.
+# LAPLACE grid runs k over exactly this range); a larger k reads the block
+# of _BLOCK powers that starts at k - k % _BLOCK.  `_simpson_block` has
+# exactly five accumulators, so SHARED_K_MAX must stay 4.
 SHARED_K_MAX = 4
-# Bound on the memoised passes: one entry is a tuple of floats per
-# (width, x, T, steps); the campaign and the acceptance gate use three.
+_BLOCK = SHARED_K_MAX + 1
+# Bound on the memoised blocks: one entry is a tuple of five floats per
+# (first, x, T, steps); the campaign and the acceptance gate use three.
 SIMPSON_CACHE_SIZE = 32
 
 EpsLike = Union[int, float, str, Fraction]
@@ -257,43 +263,61 @@ class LaplaceResult:
 
 
 @functools.lru_cache(maxsize=SIMPSON_CACHE_SIZE)
-def _simpson_pass(width, x, T, steps):
-    """Composite Simpson sums of t^j e^(-x t) on [0, T] for j = 0..width.
+def _simpson_block(first, x, T, steps):
+    """Composite Simpson sums of t^j e^(-x t) on [0, T] for the five powers
+    j = first..first+4 (`SHARED_K_MAX` + 1 of them).
 
-    One walk over the grid: each point evaluates e^(-x t) once, builds t^j
-    by the left-to-right products 1.0 * t * ... * t, and adds w * (t^j e)
-    into the j-th accumulator in grid order.  Every float is therefore the
-    one a separate loop over power j alone would give.  The accumulators
-    are plain sequential float additions; builtin `sum` must not replace
-    them: from Python 3.12 its float sum is compensated and would change
-    the last bits, and `requires-python` is `>=3.10`.
+    One walk over the grid: each point evaluates e^(-x t) once, builds
+    t^first by the left-to-right products 1.0 * t * ... * t, and adds
+    w * (t^j e) into five unrolled accumulators in grid order, with one more
+    factor t between them.  Every float is therefore the one a separate loop
+    over power j alone would give.  The weights 1, 4, 2, ..., 2, 4, 1 come
+    from a C-level iterator.  The accumulators are plain sequential float
+    additions; builtin `sum` must not replace them: from Python 3.12 its
+    float sum is compensated and would change the last bits, and
+    `requires-python` is `>=3.10`.
     """
     n = steps + (steps % 2)
     h = T / n
     exp = math.exp
-    acc = [0.0] * (width + 1)
-    powers = range(width + 1)
-    for i in range(n + 1):
+    weights = chain((1.0,), islice(cycle((4.0, 2.0)), n - 1), (1.0,))
+    a0 = a1 = a2 = a3 = a4 = 0.0
+    for i, w in zip(range(n + 1), weights):
         t = i * h
         e = exp(-x * t)
-        w = 1.0 if i == 0 or i == n else 4.0 if i % 2 else 2.0
         tp = 1.0
-        for j in powers:
-            acc[j] += w * (tp * e)
-            tp *= t
-    return tuple(a * h / 3.0 for a in acc)
+        if first:
+            for _ in range(first):
+                tp *= t
+        a0 += w * (tp * e)
+        tp *= t
+        a1 += w * (tp * e)
+        tp *= t
+        a2 += w * (tp * e)
+        tp *= t
+        a3 += w * (tp * e)
+        tp *= t
+        a4 += w * (tp * e)
+    return tuple(a * h / 3.0 for a in (a0, a1, a2, a3, a4))
+
+
+# The block's former name; its `cache_info()` is the pass counter.
+_simpson_pass = _simpson_block
 
 
 def simpson_exp_monomial(k, x, T, steps):
     """Composite Simpson approximation of the integral of t^k e^(-x t) on [0, T].
 
-    `steps` is rounded up to the next even number.  The value is read from
-    the memoised pass over every power 0..max(k, SHARED_K_MAX) at this
-    (x, T, steps), so the other powers of the same rate come for free.
+    `steps` must be positive and is rounded up to the next even number.  The
+    value is read from the memoised block of the five powers around k at
+    this (x, T, steps), so the other powers of that block come for free.
     """
     if k < 0:
         raise ValueError("power k must be nonnegative")
-    return _simpson_pass(max(k, SHARED_K_MAX), x, T, steps)[k]
+    if steps <= 0:
+        raise ValueError("steps must be positive")
+    j = k % _BLOCK
+    return _simpson_block(k - j, x, T, steps)[j]
 
 
 def laplace_monomial(

@@ -188,6 +188,24 @@ class TestPoly1Arithmetic:
         assert (got._num, got._den) == (want._num, want._den)
         assert calls == [(Poly1.x()._num, p._num)]
 
+    def test_constant_factor_products_make_no_kernel_call(self, monkeypatch):
+        p = Poly1([Fraction(1, 3), 0, -2])
+        constants = (Poly1([Fraction(-5, 4)]), Poly1.constant(1), Poly1([6]))
+        wants = [Poly1._raw(conv1(p._num, c._num), p._den * c._den) for c in constants]
+        calls = []
+
+        def counting_conv1(a, b):
+            calls.append((a, b))
+            return conv1(a, b)
+
+        monkeypatch.setattr(polynomials, "conv1", counting_conv1)
+        for c, want in zip(constants, wants):
+            for got in (p * c, c * p):
+                assert (got._num, got._den) == (want._num, want._den)
+        power = p**1
+        assert (power._num, power._den) == (p._num, p._den)
+        assert calls == []
+
     @given(poly1_st, poly1_st)
     def test_compose_agrees_with_evaluation(self, p, q):
         x = Fraction(2, 7)
@@ -243,6 +261,24 @@ class TestPoly2:
         got = Poly2.sum_of_products(terms)
         assert (got._num, got._den) == (want._num, want._den)
         assert calls == [(Poly2.x()._num, Poly2.y()._num)]
+
+    def test_constant_factor_products_make_no_kernel_call(self, monkeypatch):
+        p = Poly2([[1, Fraction(1, 3)], [0, -2]])
+        constants = (Poly2([[Fraction(3, 2)]]), Poly2.constant(1), Poly2.constant(-4))
+        wants = [Poly2._raw(conv2(p._num, c._num), p._den * c._den) for c in constants]
+        calls = []
+
+        def counting_conv2(a, b):
+            calls.append((a, b))
+            return conv2(a, b)
+
+        monkeypatch.setattr(polynomials, "conv2", counting_conv2)
+        for c, want in zip(constants, wants):
+            for got in (p * c, c * p):
+                assert (got._num, got._den) == (want._num, want._den)
+        power = p**1
+        assert (power._num, power._den) == (p._num, p._den)
+        assert calls == []
 
     def test_xy_product(self):
         assert Poly2.x() * Poly2.y() == Poly2([[0, 0], [0, 1]])

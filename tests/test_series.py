@@ -11,6 +11,7 @@ from bernkit.series import (
     SERIES_IDS,
     SHARED_K_MAX,
     SIMPSON_CACHE_SIZE,
+    _simpson_block,
     _simpson_pass,
     _term,
     laplace_monomial,
@@ -204,6 +205,27 @@ class TestSimpsonPass:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             simpson_exp_monomial(-1, 1.0, 20.0, 100)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_nonpositive_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be positive"):
+            simpson_exp_monomial(0, 1.0, 20.0, steps)
+
+    @pytest.mark.parametrize("steps", [1, 3, 1000, 1001])
+    def test_three_blocks_are_bit_identical_to_per_power_loop(self, steps):
+        for x in (0.3, 2.0):
+            for T in (40.0 / x, 7.5):
+                for k in range(12):
+                    want = _simpson_per_power(k, x, T, steps)
+                    got = simpson_exp_monomial(k, x, T, steps)
+                    assert got.hex() == want.hex(), (k, x, T, steps)
+
+    def test_powers_past_shared_k_max_cost_one_pass(self):
+        _simpson_block.cache_clear()
+        for k in (7, 5, 9, 6, 8):
+            simpson_exp_monomial(k, 1.0, 20.0, 2_000)
+        info = _simpson_block.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
 
 class TestLaplaceQuadrature:
