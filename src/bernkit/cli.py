@@ -1,12 +1,14 @@
 """Command-line front end for running verification campaigns.
 
 Exit codes: 0 when every check passes, 1 when any verification fails,
-2 for usage errors (argparse follows the same convention).
+2 for usage errors (argparse follows the same convention), 141 when the
+reader closes stdout early (128 + SIGPIPE, as a shell reports it).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -14,6 +16,7 @@ from typing import Optional, Sequence
 from .campaign import ALL_IDS, VerifyConfig, emit_report, run_verify
 
 USAGE_EXIT = 2
+BROKEN_PIPE_EXIT = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +87,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`bernkit --list-identities | head -5`).  Point
+        # stdout at devnull so the interpreter's last flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = BROKEN_PIPE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,13 +6,20 @@ the tensor grid {0, ..., D}^m, where m is the number of variables and D
 bounds the degree of both sides in each variable.  Two polynomials of
 degree at most D in each variable that agree on D + 1 distinct values per
 variable are equal, so agreement on the grid is polynomial equality (the
-argument `identities.grid_nodes` relies on).  At integer nodes a basis
-value C(n, k) x^k (1 - x)^(n - k) is a plain `int`; only a few prefactors
-are `Fraction`s.  Composite arguments (xy, x + y - xy, (1 - w)x + wy) are
-computed as numbers, and the derivative family uses the Leibniz rule on
-x^k (1 - x)^(n - k), so nothing here multiplies, composes or
-differentiates a polynomial.  The module imports only the standard
-library, so it shares no arithmetic with the suite it judges.
+argument `identities.grid_nodes` relies on).
+
+At an integer node x the whole basis row (B_0^n(x), ..., B_n^n(x)), with
+B_k^n(x) = C(n, k) x^k (1 - x)^(n - k), is a tuple of plain `int`s built
+from the powers of x and of 1 - x and memoised in one bounded cache
+(`_row`).  Each summed side is then a dot product of its constants with a
+row slice: a reversed slice where the sum convolves two rows, and one
+weight vector per x where a bivariate sum pairs a row in x with a row in
+y.  Only a few prefactors are `Fraction`s.  Composite arguments (xy,
+x + y - xy, (1 - w)x + wy) are computed as numbers and the derivative
+family uses the Leibniz rule on x^k (1 - x)^(n - k), so nothing here
+multiplies, composes or differentiates a polynomial.  The module imports
+only the standard library, so it shares no arithmetic with the suite it
+judges.
 
 Mutation slots are re-applied here independently so mutated checks can be
 cross-adjudicated.  A parameter tuple outside an identity's range, or a
@@ -26,11 +33,13 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Mapping, Optional
 
-# Bound on the basis values memoised at grid nodes.  The suite-oracle
-# workload reads 2 755 distinct in-range (n, k, x) keys; 4096 holds them all.
-NODE_CACHE_SIZE = 4096
+# Bound on the basis rows memoised at grid nodes.  Every suite tuple up to
+# degree 14 reads 282 distinct (n, x) rows, with n <= 17 and x <= 17 (the
+# raise families reach n + 3); 18 * 18 = 324 rows hold every such pair.
+ROW_CACHE_SIZE = 324
 
 
 def _basis(n: int, k: int, x):
@@ -40,15 +49,31 @@ def _basis(n: int, k: int, x):
     return math.comb(n, k) * x**k * (1 - x) ** (n - k)
 
 
-@functools.lru_cache(maxsize=NODE_CACHE_SIZE)
-def _cached_basis(n: int, k: int, x: int) -> int:
-    return _basis(n, k, x)
+def _powers(x, m: int) -> list:
+    """[x^0, x^1, ..., x^m]."""
+    return list(itertools.accumulate(itertools.repeat(x, m), mul, initial=1))
+
+
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def _row(n: int, x: int) -> tuple[int, ...]:
+    """(B_0^n(x), ..., B_n^n(x)) at a grid node, from the powers of x and
+    of 1 - x.  Composite arguments such as xy take hundreds of values and
+    call `_basis`."""
+    xs, ys = _powers(x, n), _powers(1 - x, n)
+    return tuple(math.comb(n, k) * xs[k] * ys[n - k] for k in range(n + 1))
 
 
 def _node(n: int, k: int, x: int) -> int:
-    """`_basis` at a grid node, memoised for in-range k.  Composite
-    arguments such as xy take hundreds of values and call `_basis`."""
-    return _cached_basis(n, k, x) if 0 <= k <= n else 0
+    """B_k^n at a grid node; zero for k outside 0..n."""
+    return _row(n, x)[k] if 0 <= k <= n else 0
+
+
+def _convolve(a, b, k: int):
+    """The sum of a[i] * b[k - i] over the i at which both are in range."""
+    lo, hi = max(0, k - len(b) + 1), min(len(a) - 1, k)
+    if lo > hi:
+        return 0
+    return sum(map(mul, a[lo : hi + 1], b[k - hi : k - lo + 1][::-1]))
 
 
 def _derivative(n: int, k: int, l: int, x):
@@ -133,29 +158,43 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         n = p["n"]
         _require(n >= 0, f"sum needs n >= 0 (got n={n})")
         c = bump(1, "rhs-const")
-        return n, 1, lambda x: sum(B(n, k, x) for k in range(n + 1)), lambda x: c
+        return n, 1, lambda x: sum(_row(n, x)), lambda x: c
 
     if identity_id == "alternating-sum":
         n = p["n"]
         _require(n >= 0, f"alternating-sum needs n >= 0 (got n={n})")
         c0, c1 = bump(1, "base-const"), bump(-2, "base-slope")
-        lhs = lambda x: sum((-1) ** k * B(n, k, x) for k in range(n + 1))
+
+        def lhs(x):
+            row = _row(n, x)
+            return sum(row[0::2]) - sum(row[1::2])
+
         return n, 1, lhs, lambda x: (c0 + c1 * x) ** n
 
     if identity_id == "subdivision-product":
         n, j = _subdivision_params(identity_id, p)
-        cs = {k: bump(1, f"term:{k}") for k in range(j, n + 1)}
+        cs = [bump(1, f"term:{k}") for k in range(j, n + 1)]
         scale = bump(1, "scale")
-        rhs = lambda x, y: scale * sum(c * B(k, j, x) * B(n, k, y) for k, c in cs.items())
+
+        # c_k B_j^k(x) for k = j..n: one weight vector per x of the grid.
+        @functools.lru_cache(maxsize=n + 1)
+        def weights(x):
+            return [c * _row(k, x)[j] for k, c in enumerate(cs, j)]
+
+        rhs = lambda x, y: scale * sum(map(mul, weights(x), _row(n, y)[j:]))
         return n, 2, lambda x, y: _basis(n, j, x * y), rhs
 
     if identity_id == "subdivision-affine":
         n, j = _subdivision_params(identity_id, p)
         cs = [bump(1, f"term:{k}") for k in range(j + 1)]
         scale = bump(1, "scale")
-        rhs = lambda x, y: scale * sum(
-            c * B(n - k, j - k, x) * B(n, k, y) for k, c in enumerate(cs)
-        )
+
+        # c_k B_{j-k}^{n-k}(x) for k = 0..j: one weight vector per x.
+        @functools.lru_cache(maxsize=n + 1)
+        def weights(x):
+            return [c * _row(n - k, x)[j - k] for k, c in enumerate(cs)]
+
+        rhs = lambda x, y: scale * sum(map(mul, weights(x), _row(n, y)[: j + 1]))
         return n, 2, lambda x, y: _basis(n, j, x + y - x * y), rhs
 
     if identity_id == "subdivision-trivariate":
@@ -167,17 +206,17 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         # weight w, so each (x, y) of the grid builds it once.
         @functools.lru_cache(maxsize=(n + 1) ** 2)
         def inner(x, y):
-            return [c * sum(B(n - k, j - q, x) * B(k, q, y) for q in range(j + 1)) for k, c in enumerate(cs)]
+            return [c * _convolve(_row(k, y), _row(n - k, x), j) for k, c in enumerate(cs)]
 
-        rhs = lambda x, y, w: scale * sum(B(n, k, w) * t for k, t in enumerate(inner(x, y)))
+        rhs = lambda x, y, w: scale * sum(map(mul, _row(n, w), inner(x, y)))
         return n, 3, lambda x, y, w: _basis(n, j, (1 - w) * x + w * y), rhs
 
     if identity_id == "monomial":
         n, l = p["n"], p["l"]
         _require(0 <= l <= n, f"monomial needs 0 <= l <= n (got n={n}, l={l})")
-        cs = {k: bump(math.comb(k, l), f"term:{k}") for k in range(l, n + 1)}
+        cs = [bump(math.comb(k, l), f"term:{k}") for k in range(l, n + 1)]
         scale = bump(1, "scale")
-        rhs = lambda x: scale * sum(c * B(n, k, x) for k, c in cs.items())
+        rhs = lambda x: scale * sum(map(mul, cs, _row(n, x)[l:]))
         return n, 1, lambda x: math.comb(n, l) * x**l, rhs
 
     if identity_id == "derivative":
@@ -185,7 +224,7 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         _require(0 <= l <= n, f"derivative needs 0 <= l <= n (got n={n}, l={l})")
         cs = [bump((-1) ** (l - i) * math.comb(l, i), f"term:{i}") for i in range(l + 1)]
         pf = bump(math.perm(n, l), "prefactor")
-        rhs = lambda x: pf * sum(c * B(n - l, k - i, x) for i, c in enumerate(cs))
+        rhs = lambda x: pf * _convolve(cs, _row(n - l, x), k)
         return n, 1, lambda x: _derivative(n, k, l, x), rhs
 
     if identity_id == "recurrence":
@@ -193,7 +232,7 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         _require(0 <= v <= n, f"recurrence needs 0 <= v <= n (got n={n}, v={v})")
         cs = [bump(1, f"term:{i}") for i in range(v + 1)]
         scale = bump(1, "scale")
-        rhs = lambda x: scale * sum(c * B(v, i, x) * B(n - v, k - i, x) for i, c in enumerate(cs))
+        rhs = lambda x: scale * _convolve(list(map(mul, cs, _row(v, x))), _row(n - v, x), k)
         return n, 1, lambda x: B(n, k, x), rhs
 
     if identity_id == "raise-x":
@@ -226,7 +265,8 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
             math.factorial(k1) * math.factorial(k2), math.factorial(k1 + k2)
         )
         pf = bump(pf, "prefactor")
-        rhs = lambda x: pf * sum(c * B(i, k1, x) * B(n - i, k2, x) for i, c in enumerate(cs))
+        # B_k1^i(x) B_k2^(n-i)(x) is zero outside k1 <= i <= n - k2.
+        rhs = lambda x: pf * sum(cs[i] * _row(i, x)[k1] * _row(n - i, x)[k2] for i in range(k1, n - k2 + 1))
         return n, 1, lambda x: B(n, k1 + k2, x), rhs
 
     if identity_id == "two-point":
@@ -234,7 +274,15 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         _require(0 <= 2 * k <= n, f"two-point needs 0 <= 2k <= n (got n={n}, k={k})")
         cs = [bump((-1) ** (n - i) * math.comb(n, i), f"term:{i}") for i in range(n + 1)]
         pf = bump(Fraction(math.factorial(k) ** 2, math.perm(n, 2 * k)), "prefactor")
-        rhs = lambda x, y: pf * sum(c * B(i, k, x) * B(n - i, k, y) for i, c in enumerate(cs))
+        # B_k^i(x) B_k^(n-i)(y) is zero outside k <= i <= n - k; one weight
+        # vector c_i B_k^i(x) per x.
+        terms = range(k, n - k + 1)
+
+        @functools.lru_cache(maxsize=n + 1)
+        def weights(x):
+            return [cs[i] * _row(i, x)[k] for i in terms]
+
+        rhs = lambda x, y: pf * sum(map(mul, weights(x), [_row(n - i, y)[k] for i in terms]))
         return n, 2, lambda x, y: (-x * y) ** k * (y - x) ** (n - 2 * k), rhs
 
     if identity_id == "tg1":

@@ -301,10 +301,6 @@ def _simpson_block(first, x, T, steps):
     return tuple(a * h / 3.0 for a in (a0, a1, a2, a3, a4))
 
 
-# The block's former name; its `cache_info()` is the pass counter.
-_simpson_pass = _simpson_block
-
-
 def simpson_exp_monomial(k, x, T, steps):
     """Composite Simpson approximation of the integral of t^k e^(-x t) on [0, T].
 

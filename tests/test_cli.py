@@ -1,10 +1,15 @@
 """CLI behavior: exit codes, report formats, determinism, failure injection."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bernkit
 from bernkit.campaign import ALL_IDS, VerifyConfig, emit_report, run_verify
 from bernkit.cli import main
 
@@ -79,6 +84,25 @@ class TestListIdentities:
         code, out, _ = run_cli(capsys, ["--list-identities"])
         assert code == 0
         assert out.split() == list(ALL_IDS)
+
+    @staticmethod
+    def _launch():
+        env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).parents[1]))
+        argv = [sys.executable, "-m", "bernkit.cli", "--list-identities"]
+        return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def test_piped_listing_is_unchanged(self):
+        proc = self._launch()
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, ("\n".join(ALL_IDS) + "\n").encode(), b"")
+
+    def test_closed_stdout_exits_quietly(self):
+        # The reader closes its end before the listing is written, as
+        # `bernkit --list-identities | head -5` can.
+        proc = self._launch()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 class TestReportFormats:

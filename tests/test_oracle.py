@@ -2,6 +2,8 @@
 and cross-engine consistency with the generating-function catalog."""
 
 import ast
+import hashlib
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -114,18 +116,59 @@ def test_oracle_rejects_what_the_suite_rejects(identity_id, params, mutate):
         oracle_verify(identity_id, params, mutate=mutate)
 
 
-def test_oracle_decides_through_its_own_basis_values(monkeypatch):
-    def unnormalised(n, k, x):
-        # Drops the binomial factor: x^k (1-x)^(n-k).
-        return x**k * (1 - x) ** (n - k) if 0 <= k <= n else 0
+# sha256 over the outcome of oracle_verify, its verdict or its ValueError
+# text, for every suite tuple up to degree 6 (trivariate 4) with no slot,
+# each of its mutation slots and an unread slot, then with each parameter
+# lowered by one (in range or not), in suite order.
+ORACLE_OUTCOME_DIGEST = "05f67c1f26bb72a30e3d0f0350214bc275558aff9e4c57cd524245c48c199bb6"
 
-    # A wrong basis value in the oracle turns a true identity false.
-    oracle._cached_basis.cache_clear()
+
+def _outcome(identity_id, params, slot):
     try:
-        monkeypatch.setattr(oracle, "_basis", unnormalised)
-        assert oracle_verify("recurrence", {"n": 3, "k": 1, "v": 1}) is False
-    finally:
-        oracle._cached_basis.cache_clear()
+        return oracle_verify(identity_id, params, mutate=slot)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_oracle_outcome_digest_is_unchanged():
+    digest = hashlib.sha256()
+    for identity_id in SUITE_IDS:
+        for params in suite_params(identity_id, 4 if identity_id == "subdivision-trivariate" else 6):
+            calls = [(params, slot) for slot in (None, *mutation_slots(identity_id, params), "term:99")]
+            calls += [({**params, name: params[name] - 1}, None) for name in params]
+            for args in calls:
+                line = [identity_id, *args, _outcome(identity_id, *args)]
+                digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == ORACLE_OUTCOME_DIGEST
+
+
+def test_oracle_decides_through_its_own_basis_values(monkeypatch):
+    def unnormalised(n, x):
+        # Drops the binomial factor: x^k (1-x)^(n-k).
+        return tuple(x**k * (1 - x) ** (n - k) for k in range(n + 1))
+
+    # A wrong basis row in the oracle turns a true identity false.
+    monkeypatch.setattr(oracle, "_row", unnormalised)
+    assert oracle_verify("recurrence", {"n": 3, "k": 1, "v": 1}) is False
+
+
+def test_rows_hold_the_basis_values():
+    for n in range(21):
+        for x in range(-3, 21):
+            row = oracle._row(n, x)
+            assert len(row) == n + 1
+            for k in range(n + 1):
+                assert row[k] == oracle._basis(n, k, x), (n, k, x)
+
+
+def test_row_cache_holds_the_clean_suite_without_evicting():
+    oracle._row.cache_clear()
+    for identity_id in SUITE_IDS:
+        for params in suite_params(identity_id, 8 if identity_id == "subdivision-trivariate" else 14):
+            assert oracle_verify(identity_id, params) is True, (identity_id, params)
+    info = oracle._row.cache_info()
+    assert info.maxsize == oracle.ROW_CACHE_SIZE
+    assert info.misses == info.currsize <= info.maxsize, info
 
 
 def test_oracle_imports_only_the_standard_library():

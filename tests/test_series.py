@@ -12,7 +12,6 @@ from bernkit.series import (
     SHARED_K_MAX,
     SIMPSON_CACHE_SIZE,
     _simpson_block,
-    _simpson_pass,
     _term,
     laplace_monomial,
     partial_sum,
@@ -195,10 +194,10 @@ class TestSimpsonPass:
     def test_one_pass_per_rate_in_any_order(self):
         pairs = [(k, x) for k in range(SHARED_K_MAX + 1) for x in (Fraction(1, 2), 1, 2)]
         random.Random(6).shuffle(pairs)
-        _simpson_pass.cache_clear()
+        _simpson_block.cache_clear()
         for k, x in pairs:
             laplace_monomial(k, x, steps=2_000)
-        info = _simpson_pass.cache_info()
+        info = _simpson_block.cache_info()
         assert (info.misses, info.hits) == (3, 12)
         assert info.maxsize == SIMPSON_CACHE_SIZE
 
