@@ -37,7 +37,8 @@ from operator import mul
 from typing import Callable, Mapping, Optional
 
 # Bound on the basis rows memoised at grid nodes.  Every suite tuple up to
-# degree 14 reads 282 distinct (n, x) rows, with n <= 17 and x <= 17 (the
+# degree 14 (subdivision-trivariate up to 8, as the suite-oracle workload
+# runs it) reads 282 distinct (n, x) rows, with n <= 17 and x <= 17 (the
 # raise families reach n + 3); 18 * 18 = 324 rows hold every such pair.
 ROW_CACHE_SIZE = 324
 
