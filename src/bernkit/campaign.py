@@ -50,7 +50,10 @@ class VerifyConfig:
     format: str = "json"
     seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, mutate: Optional[str] = None) -> None:
+        """Raise ValueError for a knob out of range, or for a `mutate` id
+        that is unknown or not among the selected checks (a mutation no
+        check reads would pass vacuously)."""
         if self.max_degree < 0:
             raise ValueError("max-degree must be nonnegative")
         if self.egf_order < self.max_degree:
@@ -67,6 +70,11 @@ class VerifyConfig:
             unknown = [i for i in self.identities if i not in ALL_IDS]
             if unknown:
                 raise ValueError(f"unknown identities: {', '.join(unknown)}")
+        if mutate is not None:
+            if mutate not in ALL_IDS:
+                raise ValueError(f"unknown identity id for --mutate: {mutate!r}")
+            if mutate not in self.selected():
+                raise ValueError(f"--mutate target {mutate!r} is not among the selected identities")
 
     def selected(self) -> tuple[str, ...]:
         if self.identities is None:
@@ -283,9 +291,7 @@ ALL_IDS = tuple(_RUNNERS)
 def run_verify(config: VerifyConfig, mutate: Optional[str] = None) -> CampaignReport:
     """Run the configured campaign; `mutate` names one check id whose right
     side is deliberately perturbed so its checks must fail."""
-    config.validate()
-    if mutate is not None and mutate not in ALL_IDS:
-        raise ValueError(f"unknown identity id for --mutate: {mutate!r}")
+    config.validate(mutate)
     started = time.perf_counter()
     results: list[dict] = []
     for check_id in config.selected():

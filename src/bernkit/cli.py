@@ -75,9 +75,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         seed=args.seed,
     )
     try:
-        config.validate()
-        if args.mutate is not None and args.mutate not in ALL_IDS:
-            raise ValueError(f"unknown identity id for --mutate: {args.mutate!r}")
+        config.validate(args.mutate)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

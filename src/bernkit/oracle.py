@@ -14,7 +14,8 @@ from the powers of x and of 1 - x and memoised in one bounded cache
 (`_row`).  Each summed side is then a dot product of its constants with a
 row slice: a reversed slice where the sum convolves two rows, and one
 weight vector per x where a bivariate sum pairs a row in x with a row in
-y.  Only a few prefactors are `Fraction`s.  Composite arguments (xy,
+y.  A side with a rational prefactor num/den is compared as den * lhs ==
+num * rhs, so every grid value stays an `int`.  Composite arguments (xy,
 x + y - xy, (1 - w)x + wy) are computed as numbers and the derivative
 family uses the Leibniz rule on x^k (1 - x)^(n - k), so nothing here
 multiplies, composes or differentiates a polynomial.  The module imports
@@ -239,24 +240,24 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
     if identity_id == "raise-x":
         n, k, d = _raise_params(identity_id, p)
         pf = Fraction(math.factorial(n) * math.factorial(k + d), math.factorial(k) * math.factorial(n + d))
-        pf = bump(pf, "prefactor")
-        return n + d, 1, lambda x: x**d * B(n, k, x), lambda x: pf * B(n + d, k + d, x)
+        num, den = bump(pf, "prefactor").as_integer_ratio()
+        return n + d, 1, lambda x: den * x**d * B(n, k, x), lambda x: num * B(n + d, k + d, x)
 
     if identity_id == "raise-1mx":
         n, k, d = _raise_params(identity_id, p)
         pf = Fraction(
             math.factorial(n) * math.factorial(n + d - k), math.factorial(n + d) * math.factorial(n - k)
         )
-        pf = bump(pf, "prefactor")
-        return n + d, 1, lambda x: (1 - x) ** d * B(n, k, x), lambda x: pf * B(n + d, k, x)
+        num, den = bump(pf, "prefactor").as_integer_ratio()
+        return n + d, 1, lambda x: den * (1 - x) ** d * B(n, k, x), lambda x: num * B(n + d, k, x)
 
     if identity_id == "elevation":
         n, k = p["n"], p["k"]
         _require(0 <= k <= n, f"elevation needs 0 <= k <= n (got n={n}, k={k})")
         c0, c1 = bump(k + 1, "term:0"), bump(n + 1 - k, "term:1")
-        pf = bump(Fraction(1, n + 1), "prefactor")
-        rhs = lambda x: pf * (c0 * B(n + 1, k + 1, x) + c1 * B(n + 1, k, x))
-        return n + 1, 1, lambda x: B(n, k, x), rhs
+        num, den = bump(Fraction(1, n + 1), "prefactor").as_integer_ratio()
+        rhs = lambda x: num * (c0 * B(n + 1, k + 1, x) + c1 * B(n + 1, k, x))
+        return n + 1, 1, lambda x: den * B(n, k, x), rhs
 
     if identity_id == "product":
         n, k1, k2 = p["n"], p["k1"], p["k2"]
@@ -265,16 +266,17 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         pf = Fraction(2) ** (k1 + k2 - n) * Fraction(
             math.factorial(k1) * math.factorial(k2), math.factorial(k1 + k2)
         )
-        pf = bump(pf, "prefactor")
+        num, den = bump(pf, "prefactor").as_integer_ratio()
         # B_k1^i(x) B_k2^(n-i)(x) is zero outside k1 <= i <= n - k2.
-        rhs = lambda x: pf * sum(cs[i] * _row(i, x)[k1] * _row(n - i, x)[k2] for i in range(k1, n - k2 + 1))
-        return n, 1, lambda x: B(n, k1 + k2, x), rhs
+        rhs = lambda x: num * sum(cs[i] * _row(i, x)[k1] * _row(n - i, x)[k2] for i in range(k1, n - k2 + 1))
+        return n, 1, lambda x: den * B(n, k1 + k2, x), rhs
 
     if identity_id == "two-point":
         n, k = p["n"], p["k"]
         _require(0 <= 2 * k <= n, f"two-point needs 0 <= 2k <= n (got n={n}, k={k})")
         cs = [bump((-1) ** (n - i) * math.comb(n, i), f"term:{i}") for i in range(n + 1)]
-        pf = bump(Fraction(math.factorial(k) ** 2, math.perm(n, 2 * k)), "prefactor")
+        pf = Fraction(math.factorial(k) ** 2, math.perm(n, 2 * k))
+        num, den = bump(pf, "prefactor").as_integer_ratio()
         # B_k^i(x) B_k^(n-i)(y) is zero outside k <= i <= n - k; one weight
         # vector c_i B_k^i(x) per x.
         terms = range(k, n - k + 1)
@@ -283,8 +285,8 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         def weights(x):
             return [cs[i] * _row(i, x)[k] for i in terms]
 
-        rhs = lambda x, y: pf * sum(map(mul, weights(x), [_row(n - i, y)[k] for i in terms]))
-        return n, 2, lambda x, y: (-x * y) ** k * (y - x) ** (n - 2 * k), rhs
+        rhs = lambda x, y: num * sum(map(mul, weights(x), [_row(n - i, y)[k] for i in terms]))
+        return n, 2, lambda x, y: den * (-x * y) ** k * (y - x) ** (n - 2 * k), rhs
 
     if identity_id == "tg1":
         n, k = _finite_sum_params(identity_id, p)

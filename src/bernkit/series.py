@@ -9,7 +9,10 @@ explicit geometric tail majorant (never a guessed truncation error):
 
 The enforced domains come from the ratio test on the term magnitudes
 C(n,k) rho^(n-k) (rho = 1-x, resp. (1-x)/x); outside them the sums
-diverge, so out-of-domain requests are hard errors rather than NaNs.
+diverge, so out-of-domain requests are hard errors rather than NaNs.  The
+partial sums add terms built by their ratio recurrence, whose absolute
+values are those magnitudes; a sweep shares one list of them between its
+sums and its bounds.
 
 `laplace_monomial` is the one deliberately floating-point operation in the
 package: a quadrature approximation of the integral of t^k e^(-x t),
@@ -17,11 +20,16 @@ returned beside its exact closed form k!/x^(k+1) so the pair can be
 checked against each other.  One composite-Simpson pass per (x, T, steps)
 serves a block of five powers t^first..t^(first+4), first a multiple of
 five, so t^0..t^SHARED_K_MAX share one pass: each grid point pays one
-`exp` and one unrolled body adds all five powers.  The blocks are memoised
-in a cache of at most `SIMPSON_CACHE_SIZE` entries, so callers that ask for
-the powers of one rate one at a time, in any order, still pay one pass per
-rate and block.  Each power's float is bit-identical to a separate loop
-over that power alone.
+`exp` and one unrolled body adds all five powers.  A pass also serves
+every rate with the same binary mantissa: x = m 2^e is read from the pass
+at (m, T 2^e), whose every float is the original's times a power of two,
+and scaled back with `math.ldexp`.  So x = 1/2, 1 and 2 at their default
+horizons 80, 40 and 20 read one pass.  Where some intermediate could leave
+the normal float range, the scaling would not be exact, and the pass runs
+at (x, T) itself.  The blocks are memoised in a cache of at most
+`SIMPSON_CACHE_SIZE` entries, so callers that ask for the powers one at a
+time, in any order, still pay one pass per mantissa and block.  Each
+power's float is bit-identical to a separate loop over that power alone.
 """
 
 from __future__ import annotations
@@ -44,8 +52,13 @@ SERIES_IDS = ("TG3", "TG4")
 SHARED_K_MAX = 4
 _BLOCK = SHARED_K_MAX + 1
 # Bound on the memoised blocks: one entry is a tuple of five floats per
-# (first, x, T, steps); the campaign and the acceptance gate use three.
+# (first, mantissa, scaled horizon, steps); the campaign and the acceptance
+# gate use one each, as their rates 1/2, 1 and 2 share a mantissa.
 SIMPSON_CACHE_SIZE = 32
+# Binary exponents of the normal floats, 2^-1022 <= |v| < 2^1024, less one
+# bit at each end for the rounding of the guard's own estimates.
+_LOG2_NORMAL_MIN = -1021.0
+_LOG2_NORMAL_MAX = 1023.0
 
 EpsLike = Union[int, float, str, Fraction]
 
@@ -105,6 +118,23 @@ def _term(series_id: str, k: int, x: Fraction, n: int) -> Fraction:
     return -b / x ** (n + 1) if n % 2 else b / x ** (n + 1)
 
 
+def _terms(series_id: str, k: int, x: Fraction, last: int) -> list:
+    """Signed terms 0..last: zero below k, `_term` at n = k, and from there
+    each term is the one before times r n/(n - k), as C(n,k)/C(n-1,k) =
+    n/(n - k); r = 1 - x for TG3 and -(1 - x)/x for TG4.  Each term's
+    absolute value is its majorant magnitude."""
+    r = 1 - x if series_id == "TG3" else (x - 1) / x
+    p, q = r.numerator, r.denominator
+    out = [0] * min(k, last + 1)
+    if last >= k:
+        term = _term(series_id, k, x, k)
+        out.append(term)
+        for n in range(k + 1, last + 1):
+            term = term * Fraction(p * n, q * (n - k))
+            out.append(term)
+    return out
+
+
 def series_limit(series_id: str, k: int, x: Fraction) -> Fraction:
     if series_id == "TG3":
         return 1 / x
@@ -115,16 +145,17 @@ def _majorant(series_id: str, k: int, x: Fraction):
     """(magnitude, m0, geometric) for the tail majorant of a checked series.
 
     The term-ratio rho (m+1)/(m+1-k) decreases in m; m0 is the first index
-    m >= k where it is below one, and geometric(m) bounds the whole tail
-    from index m >= m0 on by a geometric series with the ratio at m.
+    m >= k where it is below one, and geometric(m, magnitude(m)) bounds the
+    whole tail from index m >= m0 on by a geometric series with the ratio
+    at m.
     """
     rho, amp = _ratio_and_amplitude(series_id, k, x)
 
     def magnitude(n: int) -> Fraction:
         return amp * math.comb(n, k) * rho ** (n - k) if n >= k else Fraction(0)
 
-    def geometric(m: int) -> Fraction:
-        return magnitude(m) / (1 - rho * Fraction(m + 1, m + 1 - k))
+    def geometric(m: int, magnitude_m: Fraction) -> Fraction:
+        return magnitude_m / (1 - rho * Fraction(m + 1, m + 1 - k))
 
     # Smallest m >= k with rho (m+1)/(m+1-k) < 1, i.e. (m+1)(1-rho) > k.
     m0 = max(k, int(Fraction(k) / (1 - rho)))
@@ -145,22 +176,23 @@ def tail_bound(series_id: str, k: int, x: ScalarLike, terms: int) -> Fraction:
     magnitude, m0, geometric = _majorant(series_id, k, xq)
     start = max(terms + 1, m0)
     head = sum((magnitude(n) for n in range(terms + 1, start)), Fraction(0))
-    return head + geometric(start)
+    return head + geometric(start, magnitude(start))
 
 
-def _tail_bounds(series_id: str, k: int, x: Fraction, max_terms: int) -> list[Fraction]:
-    """`tail_bound` for every term count 0..max_terms, in one pass.
+def _tail_bounds(m0: int, geometric, terms: list, max_terms: int) -> list[Fraction]:
+    """`tail_bound` for every term count 0..max_terms, in one pass, from
+    the majorant's m0 and geometric and the signed terms 0..max(m0,
+    max_terms + 1) of `_terms`, whose absolute values are the magnitudes.
 
     From n = m0 - 1 on, the bound is the geometric majorant at n + 1;
     below that it is the fixed majorant at m0 plus the exact magnitudes
     n+1..m0-1, a suffix sum that grows by one term per step down.
     """
-    magnitude, m0, geometric = _majorant(series_id, k, x)
-    upper = [geometric(n + 1) for n in range(max(m0 - 1, 0), max_terms + 1)]
+    upper = [geometric(n + 1, abs(terms[n + 1])) for n in range(max(m0 - 1, 0), max_terms + 1)]
     lower = []
-    tail = geometric(m0)
+    tail = geometric(m0, abs(terms[m0]))
     for n in range(m0 - 2, -1, -1):
-        tail += magnitude(n + 1)
+        tail += abs(terms[n + 1])
         if n <= max_terms:
             lower.append(tail)
     lower.reverse()
@@ -174,31 +206,29 @@ def partial_sum(series_id: str, k: int, x: ScalarLike, terms: int) -> SeriesChec
     _check_domain(series_id, k, xq)
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    total = Fraction(0)
-    for n in range(k, terms + 1):
-        total += _term(series_id, k, xq, n)
     return SeriesCheck(
         series_id=series_id,
         k=k,
         x=xq,
         terms_used=terms,
-        partial_sum=total,
+        partial_sum=sum(_terms(series_id, k, xq, terms), Fraction(0)),
         limit=series_limit(series_id, k, xq),
         tail_bound=tail_bound(series_id, k, xq, terms),
     )
 
 
 def series_sweep(series_id: str, k: int, x: ScalarLike, max_terms: int) -> list[SeriesCheck]:
-    """All partial sums through 0..max_terms, sharing one accumulation pass
-    and one pass over the tail bounds."""
+    """All partial sums through 0..max_terms, sharing one list of terms,
+    built by their ratio recurrence, between the sums and the tail bounds."""
     xq = as_scalar(x)
     _check_domain(series_id, k, xq)
+    _, m0, geometric = _majorant(series_id, k, xq)
+    terms = _terms(series_id, k, xq, max(m0, max_terms + 1))
     out = []
     total = Fraction(0)
     limit = series_limit(series_id, k, xq)
-    for n, bound in enumerate(_tail_bounds(series_id, k, xq, max_terms)):
-        if n >= k:
-            total += _term(series_id, k, xq, n)
+    for n, bound in enumerate(_tail_bounds(m0, geometric, terms, max_terms)):
+        total += terms[n]
         out.append(SeriesCheck(series_id, k, xq, n, total, limit, bound))
     return out
 
@@ -276,6 +306,10 @@ def _simpson_block(first, x, T, steps):
     additions; builtin `sum` must not replace them: from Python 3.12 its
     float sum is compensated and would change the last bits, and
     `requires-python` is `>=3.10`.
+
+    `simpson_exp_monomial` calls it at x's binary mantissa and a scaled
+    horizon where that is exact, so one block serves every rate with the
+    same mantissa; the loop body is the same either way.
     """
     n = steps + (steps % 2)
     h = T / n
@@ -301,19 +335,57 @@ def _simpson_block(first, x, T, steps):
     return tuple(a * h / 3.0 for a in (a0, a1, a2, a3, a4))
 
 
+def _scales_exactly(top, x, T, steps, shift):
+    """Whether every intermediate of the Simpson pass for the powers up to
+    t^top is a normal float both at (x, T) and at (x 2^-shift, T 2^shift).
+
+    Then each rounding of the scaled pass is the original's times a power
+    of two: h = T/n, t = i h and the powers of t scale; x t is the same
+    float on both sides, and so is e^(-x t); the products, the sequential
+    sums and a h / 3 scale with them.  The bounds are in log2: |t| runs
+    from |h| to |T|, so t^j for j <= top from min(0, lh, top lh) up to
+    max(0, lT, top lT); e^(-x t) lies between its values at t = 0 and
+    t = T, whatever the sign of x; the n + 1 weights are at most 4; each
+    accumulator adds terms of one sign, so no sum falls below its smallest
+    term.
+    """
+    if not (T and math.isfinite(T)):
+        return False
+    n = steps + (steps % 2)
+    log2_e = -x * T / math.log(2)  # log2 of e^(-x T)
+    e_lo, e_hi = min(log2_e, 0.0), max(log2_e, 0.0)
+    sum_hi = 2.0 + math.log2(n + 1)
+    for s in (0, shift):
+        lT = math.log2(abs(T)) + s
+        lh = lT - math.log2(n)
+        lo = min(0.0, lh, top * lh) + e_lo + min(0.0, lh) - 2.0  # a h / 3, log2 3 < 2
+        hi = max(0.0, lT, top * lT) + e_hi + sum_hi + max(0.0, lh)
+        if not (_LOG2_NORMAL_MIN <= lo and hi <= _LOG2_NORMAL_MAX):
+            return False
+    return True
+
+
 def simpson_exp_monomial(k, x, T, steps):
     """Composite Simpson approximation of the integral of t^k e^(-x t) on [0, T].
 
     `steps` must be positive and is rounded up to the next even number.  The
-    value is read from the memoised block of the five powers around k at
-    this (x, T, steps), so the other powers of that block come for free.
+    value is read from the memoised block of the five powers around k.  With
+    x = m 2^e (0.5 <= |m| < 1) the block is the one at (m, T 2^e, steps),
+    scaled back by 2^(-e (k+1)): bit for bit the value at (x, T), so every
+    rate with the same binary mantissa shares the block.  Where that scaling
+    is not exact (some intermediate may leave the normal range, see
+    `_scales_exactly`), or e = 0, the block is the one at (x, T, steps).
     """
     if k < 0:
         raise ValueError("power k must be nonnegative")
     if steps <= 0:
         raise ValueError("steps must be positive")
     j = k % _BLOCK
-    return _simpson_block(k - j, x, T, steps)[j]
+    first = k - j
+    m, e = math.frexp(x)
+    if e and _scales_exactly(first + SHARED_K_MAX, x, T, steps, e):
+        return math.ldexp(_simpson_block(first, m, math.ldexp(T, e), steps)[j], -e * (k + 1))
+    return _simpson_block(first, x, T, steps)[j]
 
 
 def laplace_monomial(

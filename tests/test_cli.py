@@ -64,6 +64,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["--mutate", "typo"])
         assert code == 2
 
+    def test_mutate_outside_selection_is_usage_error(self, capsys):
+        # A mutation that no selected check reads would pass vacuously.
+        code, out, err = run_cli(capsys, ["--identities", "LAPLACE", "--mutate", "TG3"])
+        assert code == 2
+        assert out == ""
+        assert "TG3" in err
+        with pytest.raises(ValueError, match="not among the selected"):
+            run_verify(VerifyConfig(identities=("LAPLACE",)), mutate="TG3")
+
     def test_bad_eps_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["--series-eps", "banana"])
         assert code == 2

@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 
 from bernkit.bernstein import bernstein_basis
+from bernkit.campaign import VerifyConfig, run_verify
 from bernkit.series import (
     SERIES_IDS,
     SHARED_K_MAX,
     SIMPSON_CACHE_SIZE,
+    _majorant,
     _simpson_block,
     _term,
+    _terms,
     laplace_monomial,
     partial_sum,
     required_terms,
@@ -71,6 +74,24 @@ class TestTerms:
                         b = bernstein_basis(n, k).evaluate(x)
                         want = b if series_id == "TG3" else (-1) ** n * b / x ** (n + 1)
                         assert _term(series_id, k, x, n) == want, (series_id, x, n, k)
+
+    def test_recurrence_terms_match_direct_terms_and_magnitudes(self):
+        # Every TG3/TG4 point of the campaign and the series-quadrature
+        # workload, to 200 terms: the ratio recurrence gives the very
+        # Fractions `_term` and the majorant's magnitude give.
+        for series_id, points in GRID.items():
+            for x in points:
+                for k in range(4):
+                    terms = _terms(series_id, k, x, 200)
+                    magnitude = _majorant(series_id, k, x)[0]
+                    assert terms[:k] == [0] * k
+                    for n in range(k, 201):
+                        assert terms[n] == _term(series_id, k, x, n), (series_id, k, x, n)
+                    assert [abs(t) for t in terms] == [magnitude(n) for n in range(201)]
+
+    def test_recurrence_terms_stop_at_last(self):
+        assert _terms("TG3", 3, Fraction(1, 2), 1) == [0, 0]
+        assert len(_terms("TG4", 2, Fraction(3, 4), 2)) == 3
 
 
 class TestTailBounds:
@@ -198,7 +219,9 @@ class TestSimpsonPass:
         for k, x in pairs:
             laplace_monomial(k, x, steps=2_000)
         info = _simpson_block.cache_info()
-        assert (info.misses, info.hits) == (3, 12)
+        # 1/2, 1 and 2 at horizons 80, 40 and 20 share the mantissa 1/2 and
+        # read the one block at (0, 0.5, 80.0, 2000).
+        assert (info.misses, info.hits) == (1, 14)
         assert info.maxsize == SIMPSON_CACHE_SIZE
 
     def test_negative_power_rejected(self):
@@ -212,12 +235,41 @@ class TestSimpsonPass:
 
     @pytest.mark.parametrize("steps", [1, 3, 1000, 1001])
     def test_three_blocks_are_bit_identical_to_per_power_loop(self, steps):
-        for x in (0.3, 2.0):
+        # Three triples of rates that share a binary mantissa (0.6, 0.75 and
+        # 0.5): at the horizons 40/x each triple reads one block.
+        for x in (0.3, 0.6, 1.2, 0.75, 1.5, 3.0, 0.5, 1.0, 2.0):
             for T in (40.0 / x, 7.5):
                 for k in range(12):
                     want = _simpson_per_power(k, x, T, steps)
                     got = simpson_exp_monomial(k, x, T, steps)
                     assert got.hex() == want.hex(), (k, x, T, steps)
+
+    @pytest.mark.parametrize(
+        "k, x, T, scaled",
+        [
+            (100, 2.0**-20, 2.0, False),  # scaled powers of t would underflow
+            (107, 2.0**-20, 2.0, False),
+            (100, 3.0, 1000.0 / 3.0, False),  # e^(-x T) underflows
+            (3, -3.0, 225.0, False),  # e^(-x T) near 2^974: sums may overflow
+            (3, 0.0, 7.5, False),  # no binary exponent to take out
+            (2, -3.0, 7.5, True),  # a negative rate, scaled exactly
+        ],
+    )
+    def test_guarded_extremes_stay_bit_identical(self, k, x, T, scaled):
+        for steps in (1, 3, 1000):
+            _simpson_block.cache_clear()
+            got = simpson_exp_monomial(k, x, T, steps)
+            assert got.hex() == _simpson_per_power(k, x, T, steps).hex(), (k, x, T, steps)
+            # The unscaled block is already cached exactly when the guard
+            # fell back.
+            _simpson_block(k - k % (SHARED_K_MAX + 1), x, T, steps)
+            assert _simpson_block.cache_info().hits == (0 if scaled else 1), (k, x, T, steps)
+
+    def test_default_campaign_laplace_family_makes_one_pass(self):
+        _simpson_block.cache_clear()
+        report = run_verify(VerifyConfig(identities=("LAPLACE",)))
+        assert report.failed == 0
+        assert _simpson_block.cache_info().misses == 1
 
     def test_powers_past_shared_k_max_cost_one_pass(self):
         _simpson_block.cache_clear()
