@@ -20,7 +20,7 @@ from typing import Optional
 from . import __version__
 from .bernstein import BernsteinForm, bernstein_basis, eval_de_casteljau, to_bernstein, to_monomial
 from .egf import FE_IDS, check_closed_form, check_functional_equation, fe_param_names
-from .identities import SUITE_IDS, mutation_slots, run_identity, suite_params
+from .identities import GRID_MARGIN, SUITE_IDS, mutation_slots, run_identity, suite_params
 from .polynomials import scalar_str
 from .report import IdentityReport, Witness
 from .series import SERIES_IDS, SHARED_K_MAX, laplace_monomial, partial_sum, required_terms
@@ -45,7 +45,6 @@ class VerifyConfig:
     max_degree: int = 10
     egf_order: int = 24
     identities: Optional[tuple[str, ...]] = None
-    grid_margin: int = 1
     series_eps: Fraction = Fraction(1, 10**9)
     format: str = "json"
     seed: int = 0
@@ -58,8 +57,6 @@ class VerifyConfig:
             raise ValueError("max-degree must be nonnegative")
         if self.egf_order < self.max_degree:
             raise ValueError("egf-order must be at least max-degree")
-        if self.grid_margin < 0:
-            raise ValueError("grid-margin must be nonnegative")
         if self.series_eps <= 0:
             raise ValueError("series-eps must be positive")
         if self.format not in ("json", "text"):
@@ -87,7 +84,7 @@ class VerifyConfig:
             "max_degree": self.max_degree,
             "egf_order": self.egf_order,
             "identities": list(self.selected()),
-            "grid_margin": self.grid_margin,
+            "grid_margin": GRID_MARGIN,
             "series_eps": scalar_str(self.series_eps),
             "format": self.format,
             "seed": self.seed,
@@ -164,7 +161,7 @@ def _run_suite(identity_id: str, config: VerifyConfig, mutated: bool) -> list[di
     out = []
     for params in suite_params(identity_id, config.max_degree):
         slot = mutation_slots(identity_id, params)[0] if mutated else None
-        rep = run_identity(identity_id, params, mutate=slot, grid_margin=config.grid_margin)
+        rep = run_identity(identity_id, params, mutate=slot)
         out.append(_from_report(rep, "identity"))
     return out
 

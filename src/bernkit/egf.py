@@ -72,7 +72,10 @@ class TruncatedEGF:
 
     @classmethod
     def _of(cls, order: int, coeffs: Iterable) -> "TruncatedEGF":
-        """Internal constructor from order+1 coefficients of one ring."""
+        """Internal constructor from order+1 coefficients of one ring; every
+        builder ends here, so a negative order fails loudly."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         self = object.__new__(cls)
         self.order = order
         self._coeffs = tuple(coeffs)
@@ -193,8 +196,7 @@ class TruncatedEGF:
 
     def diff_x(self, l: int = 1) -> "TruncatedEGF":
         """Coefficient-wise l-th partial derivative in x."""
-        d = Poly1.derivative if self._ring is Poly1 else Poly2.diff_x
-        return TruncatedEGF._of(self.order, [d(a, l) for a in self._coeffs])
+        return TruncatedEGF._of(self.order, [a.derivative(l) for a in self._coeffs])
 
     def diff_t(self, v: int = 1) -> "TruncatedEGF":
         """v-th derivative in t; the order drops to N-v and coefficients shift."""
@@ -250,10 +252,8 @@ def egf_bernstein_at(k: int, order: int) -> TruncatedEGF:
 
 def egf_exp_affine(c: CoeffLike, order: int) -> TruncatedEGF:
     """e^{c t} for an exponent polynomial of total degree at most one."""
-    if isinstance(c, Poly1):
+    if isinstance(c, (Poly1, Poly2)):
         degree = c.degree
-    elif isinstance(c, Poly2):
-        degree = c.total_degree
     else:
         c, degree = as_scalar(c), 0
     if degree > 1:

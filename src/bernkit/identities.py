@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from .bernstein import bernstein_basis, binomial, falling_factorial
 from .polynomials import Poly1, Poly2, scalar_str
-from .report import METHOD_GRID, IdentityReport, Witness, compare_poly1, compare_poly2
+from .report import METHOD_GRID, IdentityReport, Witness, compare_poly
 
 # Fixed factors, built from their coefficients so that no check adds
 # polynomials.  A lone basis term of a fused sum is paired with `_ONE`.
@@ -53,7 +53,7 @@ def verify_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
         raise ValueError("n must be nonnegative")
     lhs = Poly1.sum_of_products((1, bernstein_basis(n, k), _ONE) for k in range(n + 1))
     rhs = Poly1.constant(_bump(1, "rhs-const", mutate))
-    return compare_poly1("sum", {"n": n}, lhs, rhs)
+    return compare_poly("sum", {"n": n}, lhs, rhs)
 
 
 def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -64,7 +64,7 @@ def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityR
     c0 = _bump(1, "base-const", mutate)
     c1 = _bump(-2, "base-slope", mutate)
     rhs = Poly1([c0, c1]) ** n
-    return compare_poly1("alternating-sum", {"n": n}, lhs, rhs)
+    return compare_poly("alternating-sum", {"n": n}, lhs, rhs)
 
 
 def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
@@ -78,7 +78,7 @@ def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityRepor
         )
         for k in range(j, n + 1)
     )
-    return compare_poly2("subdivision-product", {"n": n, "j": j}, lhs, rhs)
+    return compare_poly("subdivision-product", {"n": n, "j": j}, lhs, rhs)
 
 
 def _subdivision_affine(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
@@ -92,24 +92,29 @@ def _subdivision_affine(n: int, j: int, mutate: Optional[str]) -> IdentityReport
         )
         for k in range(j + 1)
     )
-    return compare_poly2("subdivision-affine", {"n": n, "j": j}, lhs, rhs)
+    return compare_poly("subdivision-affine", {"n": n, "j": j}, lhs, rhs)
 
 
-def grid_nodes(degree_bound: int, margin: int = 1) -> list[Fraction]:
-    """Distinct rational nodes i/(D+1+margin), enough that a polynomial of
-    per-variable degree <= D vanishing on the full tensor grid is zero."""
-    count = degree_bound + 1 + margin
+# Nodes per variable of the trivariate grid beyond the D + 1 that decide a
+# polynomial of per-variable degree D.
+GRID_MARGIN = 1
+
+
+def grid_nodes(degree_bound: int) -> list[Fraction]:
+    """Distinct rational nodes i/(D+1+GRID_MARGIN), enough that a polynomial
+    of per-variable degree <= D vanishing on the full tensor grid is zero."""
+    count = degree_bound + 1 + GRID_MARGIN
     return [Fraction(i, count) for i in range(1, count + 1)]
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_value_table(n: int, margin: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per grid node i/c of `grid_nodes(n, margin)`, the integers
+def _basis_value_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per grid node i/c of `grid_nodes(n)`, the integers
     B_p^m(i/c) c^m = C(m,p) i^p (c-i)^(m-p) for p <= m <= n, indexed as
     table[i - 1][m][p].  Scaling by c^m clears every denominator, so both
     sides of the identity are integers over c^(2n) at every grid point.
     """
-    c = n + 1 + margin
+    c = n + 1 + GRID_MARGIN
     table = []
     for i in range(1, c + 1):
         up = [i**p for p in range(n + 1)]
@@ -120,11 +125,11 @@ def _basis_value_table(n: int, margin: int) -> tuple[tuple[tuple[int, ...], ...]
     return tuple(table)
 
 
-def _subdivision_trivariate(n: int, j: int, mutate: Optional[str], grid_margin: int) -> IdentityReport:
+def _subdivision_trivariate(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
     """Blend of two interval maps: checked on a rational tensor grid because
     the statement genuinely involves three variables.  At the grid point
     (ix, iy, iz)/c both sides are integers over c^(2n)."""
-    tbl = _basis_value_table(n, grid_margin)
+    tbl = _basis_value_table(n)
     c = len(tbl)
     c2 = c * c
     scale = _bump(1, "scale", mutate)
@@ -172,7 +177,6 @@ def verify_subdivision(
     j: int,
     *,
     mutate: Optional[str] = None,
-    grid_margin: int = 1,
 ) -> IdentityReport:
     """Subdivision identities: `product`, `affine`, or `trivariate` variant."""
     if not 0 <= j <= n:
@@ -182,7 +186,7 @@ def verify_subdivision(
     if variant == "affine":
         return _subdivision_affine(n, j, mutate)
     if variant == "trivariate":
-        return _subdivision_trivariate(n, j, mutate, grid_margin)
+        return _subdivision_trivariate(n, j, mutate)
     raise ValueError(f"unknown subdivision variant: {variant!r}")
 
 
@@ -196,7 +200,7 @@ def verify_monomial(n: int, l: int, *, mutate: Optional[str] = None) -> Identity
         (scale * _bump(binomial(k, l), f"term:{k}", mutate), bernstein_basis(n, k), _ONE)
         for k in range(l, n + 1)
     )
-    return compare_poly1("monomial", {"n": n, "l": l}, lhs, rhs)
+    return compare_poly("monomial", {"n": n, "l": l}, lhs, rhs)
 
 
 def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -214,7 +218,7 @@ def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -
         )
         for jj in range(l + 1)
     )
-    return compare_poly1("derivative", {"n": n, "k": k, "l": l}, lhs, rhs)
+    return compare_poly("derivative", {"n": n, "k": k, "l": l}, lhs, rhs)
 
 
 def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -228,7 +232,7 @@ def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -
         (scale * _bump(1, f"term:{j}", mutate), bernstein_basis(v, j), bernstein_basis(n - v, k - j))
         for j in range(v + 1)
     )
-    return compare_poly1("recurrence", {"n": n, "k": k, "v": v}, lhs, rhs)
+    return compare_poly("recurrence", {"n": n, "k": k, "v": v}, lhs, rhs)
 
 
 def verify_degree_ops(
@@ -246,7 +250,7 @@ def verify_degree_ops(
             math.factorial(k) * math.factorial(n + d),
         )
         rhs = bernstein_basis(n + d, k + d) * _bump(pf, "prefactor", mutate)
-        return compare_poly1("raise-x", {"n": n, "k": k, "d": d}, lhs, rhs)
+        return compare_poly("raise-x", {"n": n, "k": k, "d": d}, lhs, rhs)
     if variant == "raise-1mx":
         if d < 1:
             raise ValueError("raise power d must be at least 1")
@@ -256,7 +260,7 @@ def verify_degree_ops(
             math.factorial(n + d) * math.factorial(n - k),
         )
         rhs = bernstein_basis(n + d, k) * _bump(pf, "prefactor", mutate)
-        return compare_poly1("raise-1mx", {"n": n, "k": k, "d": d}, lhs, rhs)
+        return compare_poly("raise-1mx", {"n": n, "k": k, "d": d}, lhs, rhs)
     if variant == "elevation":
         if d != 1:
             raise ValueError("elevation is a single degree step (d must be 1)")
@@ -267,7 +271,7 @@ def verify_degree_ops(
         rhs = Poly1.sum_of_products(
             [(c0, bernstein_basis(n + 1, k + 1), _ONE), (c1, bernstein_basis(n + 1, k), _ONE)]
         )
-        return compare_poly1("elevation", {"n": n, "k": k}, lhs, rhs * pf)
+        return compare_poly("elevation", {"n": n, "k": k}, lhs, rhs * pf)
     raise ValueError(f"unknown degree operation variant: {variant!r}")
 
 
@@ -284,7 +288,7 @@ def verify_product(n: int, k1: int, k2: int, *, mutate: Optional[str] = None) ->
         (_bump(math.comb(n, j), f"term:{j}", mutate), bernstein_basis(j, k1), bernstein_basis(n - j, k2))
         for j in range(n + 1)
     )
-    return compare_poly1("product", {"n": n, "k1": k1, "k2": k2}, lhs, rhs * prefactor)
+    return compare_poly("product", {"n": n, "k1": k1, "k2": k2}, lhs, rhs * prefactor)
 
 
 def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -305,7 +309,7 @@ def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> Identit
         )
         for j in range(n + 1)
     )
-    return compare_poly2("two-point", {"n": n, "k": k}, lhs, rhs * prefactor)
+    return compare_poly("two-point", {"n": n, "k": k}, lhs, rhs * prefactor)
 
 
 def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -321,13 +325,13 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
             (math.comb(n, j), Poly1.monomial(j), bernstein_basis(n - j, k)) for j in range(n - k + 1)
         )
         rhs = Poly1.monomial(k, _bump(binomial(n, k), "rhs-const", mutate))
-        return compare_poly1("tg1", {"n": n, "k": k}, lhs, rhs)
+        return compare_poly("tg1", {"n": n, "k": k}, lhs, rhs)
     if variant == "tg2":
         lhs = Poly1.sum_of_products(
             ((-1) ** j * math.comb(n, j), bernstein_basis(n - j, k), _ONE) for j in range(n - k + 1)
         )
         rhs = Poly1.monomial(n, _bump((-1) ** (n - k) * binomial(n, k), "rhs-const", mutate))
-        return compare_poly1("tg2", {"n": n, "k": k}, lhs, rhs)
+        return compare_poly("tg2", {"n": n, "k": k}, lhs, rhs)
     if variant == "tg5":
         lhs = Poly1.sum_of_products(
             ((-1) ** j * math.comb(n, j), _ONE_MINUS_X**j, bernstein_basis(n - j, k))
@@ -337,7 +341,7 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
         rhs = Poly1.sum_of_products(
             [(int(n == k), Poly1.monomial(k), _ONE), (_bump(0, "branch-const", mutate), _ONE, _ONE)]
         )
-        return compare_poly1("tg5", {"n": n, "k": k}, lhs, rhs)
+        return compare_poly("tg5", {"n": n, "k": k}, lhs, rhs)
     raise ValueError(f"unknown finite-sum variant: {variant!r}")
 
 
@@ -346,11 +350,11 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
 
 class _SuiteEntry(NamedTuple):
     """params: degree cap -> admissible parameter tuples;
-    check: (params, mutate, grid_margin) -> report;
+    check: (params, mutate) -> report;
     slots: params -> mutation slot names."""
 
     params: Callable[[int], list[dict]]
-    check: Callable[[Mapping[str, int], Optional[str], int], IdentityReport]
+    check: Callable[[Mapping[str, int], Optional[str]], IdentityReport]
     slots: Callable[[Mapping[str, int]], tuple[str, ...]]
 
 
@@ -399,7 +403,7 @@ def _terms(first: str, lo: int, hi: int) -> tuple[str, ...]:
 def _finite_sum(variant: str, slot: str) -> _SuiteEntry:
     return _SuiteEntry(
         _finite_sum_params,
-        lambda p, m, g: verify_finite_sum(variant, p["n"], p["k"], mutate=m),
+        lambda p, m: verify_finite_sum(variant, p["n"], p["k"], mutate=m),
         lambda p: (slot,),
     )
 
@@ -410,67 +414,67 @@ def _finite_sum(variant: str, slot: str) -> _SuiteEntry:
 _SUITE = {
     "sum": _SuiteEntry(
         _indexed(),
-        lambda p, m, g: verify_sum(p["n"], mutate=m),
+        lambda p, m: verify_sum(p["n"], mutate=m),
         lambda p: ("rhs-const",),
     ),
     "alternating-sum": _SuiteEntry(
         _indexed(),
-        lambda p, m, g: verify_alternating_sum(p["n"], mutate=m),
+        lambda p, m: verify_alternating_sum(p["n"], mutate=m),
         lambda p: ("base-const", "base-slope"),
     ),
     "subdivision-product": _SuiteEntry(
         _indexed("j"),
-        lambda p, m, g: verify_subdivision("product", p["n"], p["j"], mutate=m),
+        lambda p, m: verify_subdivision("product", p["n"], p["j"], mutate=m),
         lambda p: _terms("scale", p["j"], p["n"]),
     ),
     "subdivision-affine": _SuiteEntry(
         _indexed("j"),
-        lambda p, m, g: verify_subdivision("affine", p["n"], p["j"], mutate=m),
+        lambda p, m: verify_subdivision("affine", p["n"], p["j"], mutate=m),
         lambda p: _terms("scale", 0, p["j"]),
     ),
     "subdivision-trivariate": _SuiteEntry(
         _indexed("j"),
-        lambda p, m, g: verify_subdivision("trivariate", p["n"], p["j"], mutate=m, grid_margin=g),
+        lambda p, m: verify_subdivision("trivariate", p["n"], p["j"], mutate=m),
         lambda p: _terms("scale", 0, p["n"]),
     ),
     "monomial": _SuiteEntry(
         _indexed("l"),
-        lambda p, m, g: verify_monomial(p["n"], p["l"], mutate=m),
+        lambda p, m: verify_monomial(p["n"], p["l"], mutate=m),
         lambda p: _terms("scale", p["l"], p["n"]),
     ),
     "derivative": _SuiteEntry(
         _indexed("k", "l"),
-        lambda p, m, g: verify_derivative(p["n"], p["k"], p["l"], mutate=m),
+        lambda p, m: verify_derivative(p["n"], p["k"], p["l"], mutate=m),
         lambda p: _terms("prefactor", 0, p["l"]),
     ),
     "recurrence": _SuiteEntry(
         _indexed("k", "v"),
-        lambda p, m, g: verify_recurrence(p["n"], p["k"], p["v"], mutate=m),
+        lambda p, m: verify_recurrence(p["n"], p["k"], p["v"], mutate=m),
         lambda p: _terms("scale", 0, p["v"]),
     ),
     "raise-x": _SuiteEntry(
         _raise_params,
-        lambda p, m, g: verify_degree_ops("raise-x", p["n"], p["k"], p["d"], mutate=m),
+        lambda p, m: verify_degree_ops("raise-x", p["n"], p["k"], p["d"], mutate=m),
         lambda p: ("prefactor",),
     ),
     "raise-1mx": _SuiteEntry(
         _raise_params,
-        lambda p, m, g: verify_degree_ops("raise-1mx", p["n"], p["k"], p["d"], mutate=m),
+        lambda p, m: verify_degree_ops("raise-1mx", p["n"], p["k"], p["d"], mutate=m),
         lambda p: ("prefactor",),
     ),
     "elevation": _SuiteEntry(
         _indexed("k"),
-        lambda p, m, g: verify_degree_ops("elevation", p["n"], p["k"], 1, mutate=m),
+        lambda p, m: verify_degree_ops("elevation", p["n"], p["k"], 1, mutate=m),
         lambda p: ("prefactor", "term:0", "term:1"),
     ),
     "product": _SuiteEntry(
         _product_params,
-        lambda p, m, g: verify_product(p["n"], p["k1"], p["k2"], mutate=m),
+        lambda p, m: verify_product(p["n"], p["k1"], p["k2"], mutate=m),
         lambda p: _terms("prefactor", 0, p["n"]),
     ),
     "two-point": _SuiteEntry(
         _two_point_params,
-        lambda p, m, g: verify_two_point(p["n"], p["k"], mutate=m),
+        lambda p, m: verify_two_point(p["n"], p["k"], mutate=m),
         lambda p: _terms("prefactor", 0, p["n"]),
     ),
     "tg1": _finite_sum("tg1", "rhs-const"),
@@ -479,6 +483,8 @@ _SUITE = {
 }
 
 SUITE_IDS = tuple(_SUITE)
+# Each identity's parameter names, read off its first tuple at degree 1.
+_PARAM_NAMES = {identity_id: tuple(entry.params(1)[0]) for identity_id, entry in _SUITE.items()}
 
 
 def _entry(identity_id: str) -> _SuiteEntry:
@@ -503,11 +509,14 @@ def run_identity(
     params: Mapping[str, int],
     *,
     mutate: Optional[str] = None,
-    grid_margin: int = 1,
 ) -> IdentityReport:
-    """Run one identity check by id; `mutate` names a slot from
-    `mutation_slots` (validated) to bump by +1."""
+    """Run one identity check by id; `params` must name exactly the
+    identity's parameters, and `mutate` names a slot from `mutation_slots`
+    (validated) to bump by +1."""
     entry = _entry(identity_id)
+    names = _PARAM_NAMES[identity_id]
+    if set(params) != set(names):
+        raise ValueError(f"{identity_id} takes parameters {names}, got {tuple(params)}")
     if mutate is not None and mutate not in entry.slots(params):
         raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {dict(params)}")
-    return entry.check(params, mutate, grid_margin)
+    return entry.check(params, mutate)

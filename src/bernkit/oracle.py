@@ -23,9 +23,9 @@ only the standard library, so it shares no arithmetic with the suite it
 judges.
 
 Mutation slots are re-applied here independently so mutated checks can be
-cross-adjudicated.  A parameter tuple outside an identity's range, or a
-mutation slot the identity never reads, is a `ValueError`, so no check can
-pass without having evaluated what it was asked to.
+cross-adjudicated.  A parameter name the identity does not take, a tuple
+outside its range, or a mutation slot it never reads, is a `ValueError`,
+so no check can pass without having evaluated what it was asked to.
 """
 
 from __future__ import annotations
@@ -131,12 +131,29 @@ def _finite_sum_params(identity_id: str, p: dict) -> tuple[int, int]:
     return n, k
 
 
+class _Params(dict):
+    """A parameter tuple that records the names read from it, as `bump`
+    records slots; reading a name it lacks is a ValueError."""
+
+    def __init__(self, identity_id: str, params: Mapping[str, int]):
+        super().__init__(params)
+        self.identity_id = identity_id
+        self.read: set[str] = set()
+
+    def __getitem__(self, name: str) -> int:
+        self.read.add(name)
+        if name not in self:
+            raise ValueError(f"{self.identity_id} needs parameter {name!r}")
+        return super().__getitem__(name)
+
+
 def oracle_verify(identity_id: str, params: Mapping[str, int], mutate: Optional[str] = None) -> bool:
     """Grid-evaluation verdict for one identity at one parameter tuple.
 
     `mutate` names one right-hand-side constant to bump by +1.  Raises
-    ValueError for an unknown id, a tuple outside the identity's range, or
-    a slot name this identity never reads at this tuple.
+    ValueError for an unknown id, parameter names other than the
+    identity's, a tuple outside the identity's range, or a slot name this
+    identity never reads at this tuple.
     """
     read: set[str] = set()
 
@@ -144,7 +161,10 @@ def oracle_verify(identity_id: str, params: Mapping[str, int], mutate: Optional[
         read.add(slot)
         return base + 1 if mutate == slot else base
 
-    bound, arity, lhs, rhs = _sides(identity_id, dict(params), bump)
+    p = _Params(identity_id, params)
+    bound, arity, lhs, rhs = _sides(identity_id, p, bump)
+    if p.keys() != p.read:
+        raise ValueError(f"{identity_id} needs exactly the parameters {sorted(p.read)}, got {sorted(p)}")
     if mutate is not None and mutate not in read:
         raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {dict(params)}")
     return _agree(bound, arity, lhs, rhs)

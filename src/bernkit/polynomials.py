@@ -4,7 +4,9 @@ Coefficients are held as arbitrary-precision integers over a single shared
 positive denominator, kept canonical (trailing zeros trimmed, content and
 denominator coprime).  All arithmetic is exact; the public surface speaks
 `fractions.Fraction`.  Instances are immutable and hashable, so they are
-safe to share across threads and to memoize.
+safe to share across threads and to memoize.  `Poly1` and `Poly2` share
+one base, `_Poly`, and one vocabulary (`degree`, `derivative` in x,
+`monomials` as ((exponents), coefficient) pairs).
 """
 
 from __future__ import annotations
@@ -83,10 +85,60 @@ def _common_den(fracs: list[Fraction]) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-class Poly1:
-    """Dense univariate polynomial; index i holds the coefficient of x^i."""
+class _Poly:
+    """What both rings share: integer coefficients `_num` over one positive
+    denominator `_den`, canonical, so that equality is equality of the pair.
+    Each ring defines `constant`, `__add__`, `__neg__`, `__mul__` and
+    `monomials`; subtraction, powers, equality and printing are built on
+    them here, once."""
 
     __slots__ = ("_num", "_den")
+
+    def __bool__(self) -> bool:
+        return bool(self._num)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._num == other._num and self._den == other._den
+        if isinstance(other, (int, Fraction)):
+            return self == self.constant(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((type(self), self._num, self._den))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative powers are not polynomials")
+        result = self.constant(1)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self!s})"
+
+    def __str__(self):
+        return _format_terms(self.monomials(), self._VARS)
+
+
+class Poly1(_Poly):
+    """Dense univariate polynomial; index i holds the coefficient of x^i."""
+
+    __slots__ = ()
+    _VARS = ("x",)
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
         fracs = [as_scalar(c) for c in coeffs]
@@ -174,9 +226,6 @@ class Poly1:
         """Degree, with -1 standing in for the zero polynomial."""
         return len(self._num) - 1
 
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self._den) for v in self._num)
@@ -185,16 +234,6 @@ class Poly1:
         if 0 <= i < len(self._num):
             return Fraction(self._num[i], self._den)
         return Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly1):
-            return self._num == other._num and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self == Poly1.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((Poly1, self._num, self._den))
 
     def __neg__(self) -> "Poly1":
         return Poly1._raw([-v for v in self._num], self._den)
@@ -217,12 +256,6 @@ class Poly1:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Poly1":
-        return self + (-other if isinstance(other, Poly1) else -as_scalar(other))
-
-    def __rsub__(self, other) -> "Poly1":
-        return (-self) + other
-
     def __mul__(self, other) -> "Poly1":
         if isinstance(other, (int, Fraction)):
             q = as_scalar(other)
@@ -241,20 +274,6 @@ class Poly1:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly1":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Poly1.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def evaluate(self, x: ScalarLike) -> Fraction:
         """Exact Horner evaluation."""
         xq = as_scalar(x)
@@ -270,13 +289,6 @@ class Poly1:
         for _ in range(order):
             nums = [i * v for i, v in enumerate(nums)][1:]
         return Poly1._raw(nums, self._den)
-
-    def compose(self, value: "Poly1 | Poly2") -> "Poly1 | Poly2":
-        """Substitute a polynomial for x (Horner over the target ring)."""
-        acc = value - value  # zero of the target ring
-        for v in reversed(self._num):
-            acc = acc * value + Fraction(v, self._den)
-        return acc
 
     def as_poly2_in_x(self) -> "Poly2":
         return Poly2._raw([[v] for v in self._num], self._den)
@@ -294,23 +306,16 @@ class Poly1:
             rows[i][i] = v
         return Poly2._raw(rows, self._den)
 
-    def monomials(self):
-        """Nonzero terms as (exponent, coefficient), lowest degree first."""
-        for i, v in enumerate(self._num):
-            if v:
-                yield i, Fraction(v, self._den)
-
-    def __repr__(self):
-        return f"Poly1({self!s})"
-
-    def __str__(self):
-        return _format_terms([((i,), c) for i, c in self.monomials()], ("x",))
+    def monomials(self) -> list[tuple[tuple[int], Fraction]]:
+        """Nonzero terms as ((i,), coefficient), lowest degree first."""
+        return [((i,), Fraction(v, self._den)) for i, v in enumerate(self._num) if v]
 
 
-class Poly2:
+class Poly2(_Poly):
     """Dense bivariate polynomial; grid entry (i, j) holds the coefficient of x^i y^j."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ()
+    _VARS = ("x", "y")
 
     def __init__(self, grid: Iterable[Iterable[ScalarLike]] = ()):
         rows = [[as_scalar(c) for c in row] for row in grid]
@@ -421,16 +426,9 @@ class Poly2:
         return Poly2.constant(value)
 
     @property
-    def deg_x(self) -> int:
-        return len(self._num) - 1
-
-    @property
-    def deg_y(self) -> int:
-        return len(self._num[0]) - 1 if self._num else -1
-
-    @property
-    def total_degree(self) -> int:
-        """Largest i + j over nonzero entries; -1 for the zero polynomial."""
+    def degree(self) -> int:
+        """Total degree, the largest i + j over nonzero entries; -1 for the
+        zero polynomial."""
         best = -1
         for i, row in enumerate(self._num):
             for j, v in enumerate(row):
@@ -438,23 +436,10 @@ class Poly2:
                     best = i + j
         return best
 
-    def __bool__(self) -> bool:
-        return bool(self._num)
-
     def coefficient(self, i: int, j: int) -> Fraction:
         if 0 <= i < len(self._num) and 0 <= j < len(self._num[i]):
             return Fraction(self._num[i][j], self._den)
         return Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly2):
-            return self._num == other._num and self._den == other._den
-        if isinstance(other, (int, Fraction)):
-            return self == Poly2.constant(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((Poly2, self._num, self._den))
 
     def __neg__(self) -> "Poly2":
         return Poly2._raw([[-v for v in r] for r in self._num], self._den)
@@ -483,14 +468,6 @@ class Poly2:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly2":
-        return (-self) + other
-
     def __mul__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
             q = as_scalar(other)
@@ -514,20 +491,6 @@ class Poly2:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly2":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Poly2.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def evaluate(self, x: ScalarLike, y: ScalarLike) -> Fraction:
         xq, yq = as_scalar(x), as_scalar(y)
         acc = Fraction(0)
@@ -538,31 +501,8 @@ class Poly2:
             acc = acc * xq + racc
         return acc / self._den
 
-    def substitute_y(self, value: ScalarLike) -> Poly1:
-        """Specialize y to a rational constant, leaving a polynomial in x."""
-        yq = as_scalar(value)
-        coeffs = []
-        for row in self._num:
-            racc = 0
-            for v in reversed(row):
-                racc = racc * yq + v
-            coeffs.append(racc / self._den if isinstance(racc, Fraction) else Fraction(racc, self._den))
-        return Poly1(coeffs)
-
-    def substitute_x(self, value: ScalarLike) -> Poly1:
-        """Specialize x to a rational constant, leaving a polynomial in y."""
-        xq = as_scalar(value)
-        width = len(self._num[0]) if self._num else 0
-        coeffs = [Fraction(0)] * width
-        power = Fraction(1)
-        for row in self._num:
-            for j, v in enumerate(row):
-                if v:
-                    coeffs[j] += v * power
-            power *= xq
-        return Poly1(c / self._den for c in coeffs)
-
-    def diff_x(self, order: int = 1) -> "Poly2":
+    def derivative(self, order: int = 1) -> "Poly2":
+        """Partial derivative of the given order in x."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
         rows = [list(r) for r in self._num]
@@ -570,7 +510,7 @@ class Poly2:
             rows = [[i * v for v in row] for i, row in enumerate(rows)][1:]
         return Poly2._raw(rows, self._den)
 
-    def monomials(self):
+    def monomials(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Nonzero terms as ((i, j), coefficient) in graded lexicographic order."""
         terms = []
         for i, row in enumerate(self._num):
@@ -579,12 +519,6 @@ class Poly2:
                     terms.append(((i, j), Fraction(v, self._den)))
         terms.sort(key=lambda t: (t[0][0] + t[0][1], t[0]))
         return terms
-
-    def __repr__(self):
-        return f"Poly2({self!s})"
-
-    def __str__(self):
-        return _format_terms(self.monomials(), ("x", "y"))
 
 
 def _format_terms(terms, names) -> str:

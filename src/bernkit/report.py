@@ -59,29 +59,18 @@ class IdentityReport:
         }
 
 
-def compare_poly1(identity_id: str, params: Mapping[str, int], lhs: Poly1, rhs: Poly1) -> IdentityReport:
-    """Canonical-form equality of two univariate polynomials; the difference
-    is built only to find a failing check's witness."""
+def compare_poly(
+    identity_id: str, params: Mapping[str, int], lhs: Poly1 | Poly2, rhs: Poly1 | Poly2
+) -> IdentityReport:
+    """Canonical-form equality of two polynomials of one ring; the
+    difference is built only to find a failing check's witness, its first
+    monomial."""
     if lhs == rhs:
         return IdentityReport(identity_id, params, True, METHOD_SYMBOLIC)
-    i, _ = next((lhs - rhs).monomials())
+    exps, _ = (lhs - rhs).monomials()[0]
     witness = Witness(
-        lhs=scalar_str(lhs.coefficient(i)),
-        rhs=scalar_str(rhs.coefficient(i)),
-        monomial={"x": i},
-    )
-    return IdentityReport(identity_id, params, False, METHOD_SYMBOLIC, witness)
-
-
-def compare_poly2(identity_id: str, params: Mapping[str, int], lhs: Poly2, rhs: Poly2) -> IdentityReport:
-    """Canonical-form equality of two bivariate polynomials; the difference
-    is built only to find a failing check's witness."""
-    if lhs == rhs:
-        return IdentityReport(identity_id, params, True, METHOD_SYMBOLIC)
-    (i, j), _ = (lhs - rhs).monomials()[0]
-    witness = Witness(
-        lhs=scalar_str(lhs.coefficient(i, j)),
-        rhs=scalar_str(rhs.coefficient(i, j)),
-        monomial={"x": i, "y": j},
+        lhs=scalar_str(lhs.coefficient(*exps)),
+        rhs=scalar_str(rhs.coefficient(*exps)),
+        monomial=dict(zip(lhs._VARS, exps)),
     )
     return IdentityReport(identity_id, params, False, METHOD_SYMBOLIC, witness)

@@ -154,8 +154,12 @@ def _majorant(series_id: str, k: int, x: Fraction):
     def magnitude(n: int) -> Fraction:
         return amp * math.comb(n, k) * rho ** (n - k) if n >= k else Fraction(0)
 
+    p, q = rho.numerator, rho.denominator
+
     def geometric(m: int, magnitude_m: Fraction) -> Fraction:
-        return magnitude_m / (1 - rho * Fraction(m + 1, m + 1 - k))
+        # 1 / (1 - rho (m+1)/(m+1-k)) as one integer ratio d / (d - p (m+1)).
+        d = q * (m + 1 - k)
+        return magnitude_m * Fraction(d, d - p * (m + 1))
 
     # Smallest m >= k with rho (m+1)/(m+1-k) < 1, i.e. (m+1)(1-rho) > k.
     m0 = max(k, int(Fraction(k) / (1 - rho)))
@@ -405,8 +409,8 @@ def laplace_monomial(
     if steps <= 0:
         raise ValueError("steps must be positive")
     T = 40.0 / float(xq) if horizon is None else float(horizon)
-    if T <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite (got {T})")
     approx = simpson_exp_monomial(k, float(xq), T, steps)
     exact = Fraction(math.factorial(k)) / xq ** (k + 1)
     return LaplaceResult(k=k, x=xq, horizon=T, steps=steps, approx=approx, exact=exact)

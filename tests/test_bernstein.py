@@ -144,9 +144,10 @@ class TestGeneralizedBasis:
             generalized_basis(2, 1, 3, 2)
 
     def test_affine_substitution_recovers_unit_basis(self):
-        # Composing with u = (x-a)/(b-a) turns the [a,b] basis into the unit one.
+        # At x = a + (b-a) u the [a,b] basis takes the unit basis values at u;
+        # four distinct u decide equality of the degree-3 polynomials in u.
         a, b = Fraction(-2), Fraction(3)
-        u_inverse = Poly1([a, b - a])  # x = a + (b-a) u
         for k in range(4):
             adapted = generalized_basis(3, k, a, b)
-            assert adapted.compose(u_inverse) == bernstein_basis(3, k)
+            for u in (Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(2)):
+                assert adapted.evaluate(a + (b - a) * u) == bernstein_basis(3, k).evaluate(u)

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report formats, determinism, failure injection."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import bernkit
 from bernkit.campaign import ALL_IDS, VerifyConfig, emit_report, run_verify
-from bernkit.cli import main
+from bernkit.cli import build_parser, main
 
 SMALL = ["--max-degree", "3", "--egf-order", "6"]
 
@@ -86,6 +87,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["--frobnicate"])
         assert exc.value.code == 2
+
+    def test_every_config_field_has_a_cli_flag(self):
+        # A campaign knob that only library callers can set is surface no
+        # command-line run exercises; every field of the config has a flag.
+        flags = set(vars(build_parser().parse_args([])))
+        fields = {f.name for f in dataclasses.fields(VerifyConfig)}
+        assert fields <= flags, fields - flags
 
 
 class TestListIdentities:

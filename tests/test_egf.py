@@ -111,6 +111,14 @@ class TestConstructors:
         with pytest.raises(ValueError):
             TruncatedEGF(2, [Poly2()])
 
+    def test_negative_order_rejected(self):
+        # An order-(-1) series has no coefficients; it is an error, not an
+        # empty series.
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            egf_bernstein(0, -1)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            egf_exp_affine(1, -1)
+
 
 class TestRingOperations:
     def test_exponent_addition(self):
@@ -382,6 +390,12 @@ class TestFunctionalEquationCatalog:
             check_functional_equation("FE-G1", {"z": 1}, 4)
         with pytest.raises(ValueError):
             check_functional_equation("FE-G1", {"k": -1}, 4)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            check_functional_equation("FE-SUM", {}, -1)
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            check_closed_form(0, -1)
 
     def test_diffx_shift_beyond_order_rejected(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from bernkit.identities import (
     verify_two_point,
 )
 from bernkit.polynomials import Poly1, Poly2, scalar_str
-from bernkit.report import compare_poly1
+from bernkit.report import compare_poly
 
 
 class TestSum:
@@ -53,11 +53,18 @@ class TestSum:
         lhs = Poly1()
         for k in range(1, n + 1):
             lhs = lhs + bernstein_basis(n, k)
-        report = compare_poly1("sum", {"n": n}, lhs, Poly1([1]))
+        report = compare_poly("sum", {"n": n}, lhs, Poly1([1]))
         assert not report.passed
         assert report.witness.monomial == {"x": 0}
         assert report.witness.lhs == "0/1"
         assert report.witness.rhs == "1/1"
+        # In two variables the witness is the first differing monomial in
+        # graded lexicographic order (x^2 before y^3), named by both exponents.
+        lhs2 = Poly2([[0, 0, 0, 1], [0], [Fraction(1, 2)]])  # y^3 + x^2/2
+        report = compare_poly("sum", {"n": n}, lhs2, Poly2([[0, 0, 0, 2]]))
+        assert report.witness.monomial == {"x": 2, "y": 0}
+        assert (report.witness.lhs, report.witness.rhs) == ("1/2", "0/1")
+        assert compare_poly("sum", {"n": n}, lhs2, lhs2).passed
 
 
 class TestAlternatingSum:
@@ -114,8 +121,7 @@ class TestSubdivision:
         assert rep.witness.point is not None
         assert set(rep.witness.point) == {"x", "y", "z"}
 
-    @pytest.mark.parametrize("grid_margin", [0, 1])
-    def test_trivariate_witness_is_first_differing_grid_point(self, grid_margin):
+    def test_trivariate_witness_is_first_differing_grid_point(self):
         # Both sides of B_j^n((1-y)x + yz)
         #   = sum_k B_k^n(y) sum_p B_p^{n-k}(x) B_{j-p}^k(z),
         # evaluated directly in Fractions; the suite must report the first
@@ -127,7 +133,7 @@ class TestSubdivision:
         for n in range(6):
             for j in range(n + 1):
                 params = {"n": n, "j": j}
-                nodes = grid_nodes(n, grid_margin)
+                nodes = grid_nodes(n)
                 for slot in (None, *mutation_slots("subdivision-trivariate", params)):
                     scale = 2 if slot == "scale" else 1
                     term_c = [2 if slot == f"term:{k}" else 1 for k in range(n + 1)]
@@ -143,9 +149,7 @@ class TestSubdivision:
                         if lhs != rhs:
                             expected = {"x": x, "y": y, "z": z}, lhs, rhs
                             break
-                    rep = run_identity(
-                        "subdivision-trivariate", params, mutate=slot, grid_margin=grid_margin
-                    )
+                    rep = run_identity("subdivision-trivariate", params, mutate=slot)
                     if slot is None:
                         assert expected is None and rep.passed, params
                         continue
@@ -387,17 +391,16 @@ def test_clean_checks_add_no_polynomials(monkeypatch):
 
 def test_basis_value_table_is_scaled_basis_values():
     for n in range(13):
-        for margin in range(3):
-            table = _basis_value_table(n, margin)
-            c = n + 1 + margin
-            assert len(table) == c
-            for i, rows in enumerate(table, 1):
-                want = [
-                    [bernstein_basis(m, p).evaluate(Fraction(i, c)) * c**m for p in range(m + 1)]
-                    for m in range(n + 1)
-                ]
-                assert [list(row) for row in rows] == want, (n, margin, i)
-                assert all(type(v) is int for row in rows for v in row)
+        table = _basis_value_table(n)
+        c = n + 2
+        assert len(table) == c and grid_nodes(n) == [Fraction(i, c) for i in range(1, c + 1)]
+        for i, rows in enumerate(table, 1):
+            want = [
+                [bernstein_basis(m, p).evaluate(Fraction(i, c)) * c**m for p in range(m + 1)]
+                for m in range(n + 1)
+            ]
+            assert [list(row) for row in rows] == want, (n, i)
+            assert all(type(v) is int for row in rows for v in row)
 
 
 # sha256 over the JSON of the report of every suite tuple up to degree 6

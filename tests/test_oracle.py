@@ -68,14 +68,6 @@ def test_grid_sufficiency_both_directions():
         assert not run_identity("subdivision-trivariate", params, mutate=slot).passed
 
 
-def test_trivariate_margin_zero_still_decides():
-    # The minimal grid (degree bound + 1 nodes per variable) already decides.
-    assert run_identity("subdivision-trivariate", {"n": 3, "j": 1}, grid_margin=0).passed
-    assert not run_identity(
-        "subdivision-trivariate", {"n": 3, "j": 1}, mutate="scale", grid_margin=0
-    ).passed
-
-
 @pytest.mark.parametrize("fe_id,suite_id", sorted(CROSS_ENGINE.items()))
 def test_cross_engine_verdicts_match(fe_id, suite_id):
     order = 16
@@ -105,11 +97,14 @@ def test_oracle_rejects_unknown_identity():
         ("elevation", {"n": 2, "k": 1}, "term:2"),
         ("two-point", {"n": 3, "k": 2}, None),
         ("tg5", {"n": 3, "k": 0}, None),
+        ("elevation", {"n": 3, "k": 1, "d": 2}, None),
+        ("sum", {"n": 3, "k": 9}, None),
+        ("recurrence", {"n": 3, "k": 1}, None),
     ],
 )
 def test_oracle_rejects_what_the_suite_rejects(identity_id, params, mutate):
-    # A tuple out of range or a slot the identity never reads must not pass
-    # silently on either side.
+    # A tuple out of range, a parameter name the identity does not take (or
+    # lacks) or a slot it never reads must not pass silently on either side.
     with pytest.raises(ValueError):
         run_identity(identity_id, params, mutate=mutate)
     with pytest.raises(ValueError, match=r"needs|no mutation slot"):

@@ -308,6 +308,9 @@ class TestLaplaceQuadrature:
             laplace_monomial(0, Fraction(1), steps=0)
         with pytest.raises(ValueError):
             laplace_monomial(0, Fraction(1), horizon=-1.0)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                laplace_monomial(0, 1, horizon=horizon)
 
     def test_json_payload_roundtrips(self):
         res = laplace_monomial(2, Fraction(1, 2), steps=1_000)
