@@ -121,11 +121,18 @@ class TestSubdivision:
         assert rep.witness.point is not None
         assert set(rep.witness.point) == {"x", "y", "z"}
 
-    def test_trivariate_witness_is_first_differing_grid_point(self):
+    # Entry 0 is the suite's run_identity, entry 1 the direct verify_subdivision.
+    @pytest.mark.parametrize("entry", [0, 1])
+    def test_trivariate_witness_is_first_differing_grid_point(self, entry):
         # Both sides of B_j^n((1-y)x + yz)
         #   = sum_k B_k^n(y) sum_p B_p^{n-k}(x) B_{j-p}^k(z),
-        # evaluated directly in Fractions; the suite must report the first
-        # grid point, in x, y, z loop order, where they differ.
+        # evaluated directly in Fractions; either entry point must report the
+        # first grid point, in x, y, z loop order, where they differ.
+        check = (
+            lambda n, j, slot: run_identity("subdivision-trivariate", {"n": n, "j": j}, mutate=slot),
+            lambda n, j, slot: verify_subdivision("trivariate", n, j, mutate=slot),
+        )[entry]
+
         @functools.cache
         def b(m, p, t):
             return math.comb(m, p) * t**p * (1 - t) ** (m - p) if 0 <= p <= m else 0
@@ -149,7 +156,7 @@ class TestSubdivision:
                         if lhs != rhs:
                             expected = {"x": x, "y": y, "z": z}, lhs, rhs
                             break
-                    rep = run_identity("subdivision-trivariate", params, mutate=slot)
+                    rep = check(n, j, slot)
                     if slot is None:
                         assert expected is None and rep.passed, params
                         continue
