@@ -13,8 +13,9 @@ Four layers:
   quadrature cross-check of the monomial transform.
 
 `cli`/`campaign` tie the layers into reproducible verification campaigns.
-The package is pure Python: the dense convolution kernels live in
-`polynomials` and the quadrature loop in `series`.
+The package is pure Python: the one product kernel (Kronecker-packed
+rows multiplied as big integers) lives in `polynomials` and the
+quadrature loop in `series`.
 """
 
 __version__ = "0.1.0"

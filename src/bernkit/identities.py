@@ -42,6 +42,20 @@ _U = Poly2([[0, 1], [1, -1]])
 _ONE_MINUS_U = Poly2([[1, -1], [-1, 1]])
 
 
+# Bound on the memoised Poly2 embeddings of basis polynomials read by the
+# subdivision and two-point families.  Every suite tuple up to degree 14
+# reads 296 distinct ones (the two-point family also embeds zero
+# polynomials, B_k^j with k > j); the default campaign reads 162.
+EMBEDDING_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
+def _basis_in(var: str, n: int, k: int) -> Poly2:
+    """B_k^n as a Poly2 in `var` ("x" or "y"); memoised, so each embedding
+    is built, and packed for the product kernel, once."""
+    return Poly2.coerce(bernstein_basis(n, k), var)
+
+
 def _bump(base, slot: str, mutate: Optional[str]):
     """Add one to a named scalar constant when that slot is selected."""
     return base + 1 if mutate == slot else base
@@ -73,8 +87,8 @@ def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityRepor
     rhs = Poly2.sum_of_products(
         (
             scale * _bump(1, f"term:{k}", mutate),
-            bernstein_basis(k, j).as_poly2_in_x(),
-            bernstein_basis(n, k).as_poly2_in_y(),
+            _basis_in("x", k, j),
+            _basis_in("y", n, k),
         )
         for k in range(j, n + 1)
     )
@@ -87,8 +101,8 @@ def _subdivision_affine(n: int, j: int, mutate: Optional[str]) -> IdentityReport
     rhs = Poly2.sum_of_products(
         (
             scale * _bump(1, f"term:{k}", mutate),
-            bernstein_basis(n - k, j - k).as_poly2_in_x(),
-            bernstein_basis(n, k).as_poly2_in_y(),
+            _basis_in("x", n - k, j - k),
+            _basis_in("y", n, k),
         )
         for k in range(j + 1)
     )
@@ -304,8 +318,8 @@ def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> Identit
     rhs = Poly2.sum_of_products(
         (
             _bump((-1) ** (n - j) * math.comb(n, j), f"term:{j}", mutate),
-            bernstein_basis(j, k).as_poly2_in_x(),
-            bernstein_basis(n - j, k).as_poly2_in_y(),
+            _basis_in("x", j, k),
+            _basis_in("y", n - j, k),
         )
         for j in range(n + 1)
     )

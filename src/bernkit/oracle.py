@@ -78,23 +78,19 @@ def _convolve(a, b, k: int):
     return sum(map(mul, a[lo : hi + 1], b[k - hi : k - lo + 1][::-1]))
 
 
-def _derivative(n: int, k: int, l: int, x):
-    """The l-th derivative of B_k^n at x, by the Leibniz rule on the
-    product x^k (1 - x)^(n - k); zero for k outside 0..n."""
-    if k < 0 or k > n:
-        return 0
-    total = 0
-    for i in range(max(0, l - (n - k)), min(l, k) + 1):
-        m = l - i  # derivatives that fall on (1 - x)^(n - k)
-        total += (
-            math.comb(l, i)
-            * math.perm(k, i)
-            * x ** (k - i)
-            * (-1) ** m
-            * math.perm(n - k, m)
-            * (1 - x) ** (n - k - m)
-        )
-    return math.comb(n, k) * total
+def _derivative(n: int, k: int, l: int) -> Callable:
+    """x -> the l-th derivative of B_k^n at x, by the Leibniz rule on the
+    product x^k (1 - x)^(n - k); zero for k outside 0..n.  The x-free
+    factor of each Leibniz term (binomials, falling factorials and sign) is
+    computed once here, not at every node."""
+    terms = []
+    if 0 <= k <= n:
+        lead = math.comb(n, k)
+        for i in range(max(0, l - (n - k)), min(l, k) + 1):
+            m = l - i  # derivatives that fall on (1 - x)^(n - k)
+            c = lead * math.comb(l, i) * math.perm(k, i) * (-1) ** m * math.perm(n - k, m)
+            terms.append((c, k - i, n - k - m))
+    return lambda x: sum(c * x**p * (1 - x) ** q for c, p, q in terms)
 
 
 def _agree(bound: int, arity: int, lhs: Callable, rhs: Callable) -> bool:
@@ -247,7 +243,7 @@ def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callabl
         cs = [bump((-1) ** (l - i) * math.comb(l, i), f"term:{i}") for i in range(l + 1)]
         pf = bump(math.perm(n, l), "prefactor")
         rhs = lambda x: pf * _convolve(cs, _row(n - l, x), k)
-        return n, 1, lambda x: _derivative(n, k, l, x), rhs
+        return n, 1, _derivative(n, k, l), rhs
 
     if identity_id == "recurrence":
         n, k, v = p["n"], p["k"], p["v"]

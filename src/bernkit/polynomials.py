@@ -3,68 +3,33 @@
 Coefficients are held as arbitrary-precision integers over a single shared
 positive denominator, kept canonical (trailing zeros trimmed, content and
 denominator coprime).  All arithmetic is exact; the public surface speaks
-`fractions.Fraction`.  Instances are immutable and hashable, so they are
-safe to share across threads and to memoize.  `Poly1` and `Poly2` share
-one base, `_Poly`, and one vocabulary (`degree`, `derivative` in x,
-`monomials` as ((exponents), coefficient) pairs).
+`fractions.Fraction`.  The value of an instance never changes, and equality
+and hashing read only that value, so instances are safe to share across
+threads and to memoize.  `Poly1` and `Poly2` share one base, `_Poly`, and
+one vocabulary (`degree`, `derivative` in x, `monomials` as ((exponents),
+coefficient) pairs).
+
+Both rings multiply in one kernel, `_Poly.sum_of_products`.  Each row of
+coefficients (the one row of a `Poly1`, or the row of each power of x in a
+`Poly2`) is packed by Kronecker substitution in its last variable into one
+`int`, with a fixed number of bits per coefficient slot, so that one
+big-integer product convolves two rows; powers square the packed rows.
+The packed rows are a lazy cache on the instance, filled once per slot
+width and not part of its value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
+from array import array
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Union
 
 ExactScalar = Fraction
 ScalarLike = Union[int, Fraction]
-
-
-def conv1(a, b):
-    """Dense 1-D convolution: coefficients of the product polynomial.
-
-    Works over any commutative ring elements (plain ints here in practice).
-    Empty input means the zero polynomial and yields an empty output.
-    """
-    na, nb = len(a), len(b)
-    if na == 0 or nb == 0:
-        return []
-    out = [0] * (na + nb - 1)
-    for i in range(na):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(nb):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def conv2(a, b):
-    """Dense 2-D convolution of rectangular coefficient grids.
-
-    `a[i][j]` is the coefficient of x^i y^j; rows must all share one width.
-    Returns a rectangular list-of-lists grid.
-    """
-    ra, rb = len(a), len(b)
-    if ra == 0 or rb == 0:
-        return []
-    wa, wb = len(a[0]), len(b[0])
-    out = [[0] * (wa + wb - 1) for _ in range(ra + rb - 1)]
-    for i in range(ra):
-        arow = a[i]
-        for p in range(wa):
-            aip = arow[p]
-            if not aip:
-                continue
-            for j in range(rb):
-                brow = b[j]
-                orow = out[i + j]
-                for q in range(wb):
-                    bjq = brow[q]
-                    if bjq:
-                        orow[p + q] = orow[p + q] + aip * bjq
-    return out
 
 
 def as_scalar(value: ScalarLike | str) -> Fraction:
@@ -78,6 +43,69 @@ def scalar_str(value: ScalarLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_WORD = (1 << 64) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _slot_width(bound: int) -> int:
+    """Bits per packed slot for coefficients of magnitude at most `bound`:
+    its bits plus a sign bit, rounded up to whole 64-bit words."""
+    return (bound.bit_length() + 64) // 64 * 64
+
+
+def _pack(row, width: int) -> int:
+    """sum(row[q] * 2**(width*q)): one row as an integer, slot q holding row[q]."""
+    acc = 0
+    for v in reversed(row):
+        acc = (acc << width) + v
+    return acc
+
+
+def _accumulate(out: list[int], a, b, m: int = 1) -> list[int]:
+    """out[i + j] += m * a[i] * b[j]: the convolution of two lists of
+    packed rows, added into `out`."""
+    for i, x in enumerate(a):
+        if x:
+            x *= m
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _times(a, b) -> list[int]:
+    """The convolution of two lists of packed rows."""
+    return _accumulate([0] * (len(a) + len(b) - 1), a, b)
+
+
+@functools.lru_cache(maxsize=64)
+def _bias(width: int, cols: int) -> int:
+    """Half a slot, 2**(width - 1), in each of `cols` slots."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * cols, "little")
+
+
+def _unpack(packed: list[int], width: int, cols: int) -> list[list[int]]:
+    """Each packed row as its `cols` signed slots of `width` bits, lowest first.
+
+    Half a slot added to every slot makes each one nonnegative, so no
+    borrow crosses a slot boundary; flipping each slot's top bit back then
+    leaves its two's complement in place, read as 64-bit words: the top
+    word of a slot signed, the ones below it unsigned.
+    """
+    bias = _bias(width, cols)
+    size = width // 8 * cols
+    top = width // 64 - 1
+    grid = []
+    for v in packed:
+        words = array("q", ((v + bias) ^ bias).to_bytes(size, "little"))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        slots = words[top :: top + 1].tolist()
+        for r in range(top - 1, -1, -1):
+            slots = [(hi << 64) | (lo & _WORD) for hi, lo in zip(slots, words[r :: top + 1])]
+        grid.append(slots)
+    return grid
+
+
 def _common_den(fracs: list[Fraction]) -> tuple[list[int], int]:
     den = 1
     for f in fracs:
@@ -88,11 +116,62 @@ def _common_den(fracs: list[Fraction]) -> tuple[list[int], int]:
 class _Poly:
     """What both rings share: integer coefficients `_num` over one positive
     denominator `_den`, canonical, so that equality is equality of the pair.
-    Each ring defines `constant`, `__add__`, `__neg__`, `__mul__` and
-    `monomials`; subtraction, powers, equality and printing are built on
-    them here, once."""
+    Each ring defines `constant`, `__add__`, `monomials`, and its
+    coefficients as rows (`_rows`, `_from_rows`); products, negation,
+    subtraction, powers, equality and printing are built on them here,
+    once."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_den", "_kron")
+
+    def _kronecker(self) -> tuple[int, int, int, dict]:
+        """(|self|_1, rows, columns, {width: packed rows}): what the kernel
+        reads of an operand, built on first use in `_kron`; the packed rows
+        fill in once per slot width."""
+        rows = self._rows
+        self._kron = (sum(map(abs, chain.from_iterable(rows))), len(rows), len(rows[0]), {})
+        return self._kron
+
+    def _packed(self, width: int) -> tuple[int, ...]:
+        """Each coefficient row packed at `width` bits per slot, cached."""
+        packed = self._kron[3][width] = tuple(map(_pack, self._rows, repeat(width)))
+        return packed
+
+    @classmethod
+    def sum_of_products(cls, terms: Iterable[tuple[int, "_Poly", "_Poly"]]) -> "_Poly":
+        """Canonical sum of w*a*b over (w, a, b) triples with integer weights.
+
+        The products are accumulated packed, over the lcm of their
+        denominators, and unpacked and canonicalised once.  No output
+        coefficient exceeds sum(|w m| * |a|_1 * |b|_1) in magnitude, m the
+        term's share of the common denominator, so a slot one sign bit
+        wider than that bound holds each one exactly.
+        """
+        live = []
+        den = 1
+        bound = rows = cols = 0
+        for w, a, b in terms:
+            if w and a._num and b._num:
+                d = a._den * b._den
+                if den % d:
+                    lcm = den * d // math.gcd(den, d)
+                    bound *= lcm // den
+                    den = lcm
+                na, ra, ca, pa = a._kron or a._kronecker()
+                nb, rb, cb, pb = b._kron or b._kronecker()
+                bound += abs(w) * (den // d) * na * nb
+                if ra + rb > rows:
+                    rows = ra + rb
+                if ca + cb > cols:
+                    cols = ca + cb
+                live.append((w, d, a, pa, b, pb))
+        if not live:
+            return cls._raw([], 1)
+        width = _slot_width(bound)
+        out = [0] * (rows - 1)
+        for w, d, a, pa, b, pb in live:
+            ap = pa.get(width) or a._packed(width)
+            _accumulate(out, ap, pb.get(width) or b._packed(width), w * (den // d))
+        return cls._from_rows(_unpack(out, width, cols - 1), den)
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -107,6 +186,21 @@ class _Poly:
     def __hash__(self):
         return hash((type(self), self._num, self._den))
 
+    def __mul__(self, other):
+        """A scalar scales the numerators; a polynomial of the same ring
+        multiplies in the kernel, as a sum of one product."""
+        if isinstance(other, (int, Fraction)):
+            n, d = as_scalar(other).as_integer_ratio()
+            return self._from_rows([[v * n for v in r] for r in self._rows], self._den * d)
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.sum_of_products(((1, self, other),))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._from_rows([[-v for v in r] for r in self._rows], self._den)
+
     def __sub__(self, other):
         return self + (-other)
 
@@ -114,18 +208,24 @@ class _Poly:
         return (-self) + other
 
     def __pow__(self, exponent: int):
+        """Repeated squaring on the packed rows, unpacked once: no
+        coefficient of p^e exceeds |p|_1^e, which sets the slot width."""
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
-        result = self.constant(1)
-        base = self
+        if not exponent or not self._num:
+            return self.constant(int(not exponent))
+        norm, _, cols, packs = self._kron or self._kronecker()
+        width = _slot_width(norm**exponent)
+        base = packs.get(width) or self._packed(width)
+        result = None
         e = exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else _times(result, base)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _times(base, base)
+        return self._from_rows(_unpack(result, width, (cols - 1) * exponent + 1), self._den**exponent)
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"
@@ -146,6 +246,7 @@ class Poly1(_Poly):
         obj = Poly1._raw(nums, den)
         self._num = obj._num
         self._den = obj._den
+        self._kron = None
 
     @classmethod
     def _raw(cls, nums: list[int], den: int) -> "Poly1":
@@ -153,6 +254,7 @@ class Poly1(_Poly):
         while nums and nums[-1] == 0:
             nums.pop()
         self = object.__new__(cls)
+        self._kron = None
         if not nums:
             self._num = ()
             self._den = 1
@@ -169,42 +271,14 @@ class Poly1(_Poly):
         self._den = den
         return self
 
-    @classmethod
-    def sum_of_products(cls, terms: Iterable[tuple[int, "Poly1", "Poly1"]]) -> "Poly1":
-        """Canonical sum of w*a*b over (w, a, b) triples with integer weights.
+    @property
+    def _rows(self) -> tuple[tuple[int, ...]]:
+        """A Poly1 is the one-row case of the kernel."""
+        return (self._num,)
 
-        The univariate twin of `Poly2.sum_of_products`: the products are
-        accumulated into one integer array over the lcm of their
-        denominators and canonicalised once.  A constant factor scales the
-        other factor's coefficients without a `conv1` call.
-        """
-        live = [(w, a, b) for w, a, b in terms if w and a._num and b._num]
-        if not live:
-            return cls._raw([], 1)
-        den = 1
-        size = 0
-        for _, a, b in live:
-            d = a._den * b._den
-            den = den * d // math.gcd(den, d)
-            size = max(size, len(a._num) + len(b._num) - 1)
-        out = [0] * size
-        for w, a, b in live:
-            m = w * (den // (a._den * b._den))
-            an, bn = a._num, b._num
-            if len(an) == 1:
-                m *= an[0]
-                prod = bn
-            elif len(bn) == 1:
-                m *= bn[0]
-                prod = an
-            else:
-                prod = conv1(an, bn)
-            q = 0
-            for v in prod:
-                if v:
-                    out[q] += m * v
-                q += 1
-        return cls._raw(out, den)
+    @classmethod
+    def _from_rows(cls, rows: list[list[int]], den: int) -> "Poly1":
+        return cls._raw(rows[0], den)
 
     @classmethod
     def constant(cls, value: ScalarLike) -> "Poly1":
@@ -235,9 +309,6 @@ class Poly1(_Poly):
             return Fraction(self._num[i], self._den)
         return Fraction(0)
 
-    def __neg__(self) -> "Poly1":
-        return Poly1._raw([-v for v in self._num], self._den)
-
     def __add__(self, other) -> "Poly1":
         if isinstance(other, (int, Fraction)):
             other = Poly1.constant(other)
@@ -255,24 +326,6 @@ class Poly1(_Poly):
         return Poly1._raw(out, da * ma)
 
     __radd__ = __add__
-
-    def __mul__(self, other) -> "Poly1":
-        if isinstance(other, (int, Fraction)):
-            q = as_scalar(other)
-            return Poly1._raw([v * q.numerator for v in self._num], self._den * q.denominator)
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        an, bn = self._num, other._num
-        # A constant factor scales the other's numerators; no `conv1` call.
-        if len(bn) == 1:
-            prod = [v * bn[0] for v in an]
-        elif len(an) == 1:
-            prod = [an[0] * v for v in bn]
-        else:
-            prod = conv1(an, bn)
-        return Poly1._raw(prod, self._den * other._den)
-
-    __rmul__ = __mul__
 
     def evaluate(self, x: ScalarLike) -> Fraction:
         """Exact Horner evaluation."""
@@ -324,10 +377,11 @@ class Poly2(_Poly):
         for r in rows:
             flat.extend(r + [Fraction(0)] * (width - len(r)))
         nums, den = _common_den(flat)
-        packed = [nums[i * width : (i + 1) * width] for i in range(len(rows))]
-        obj = Poly2._raw(packed, den)
+        grid = [nums[i * width : (i + 1) * width] for i in range(len(rows))]
+        obj = Poly2._raw(grid, den)
         self._num = obj._num
         self._den = obj._den
+        self._kron = None
 
     @classmethod
     def _raw(cls, rows: list[list[int]], den: int) -> "Poly2":
@@ -339,6 +393,7 @@ class Poly2(_Poly):
         while rows and not any(rows[-1]):
             rows.pop()
         self = object.__new__(cls)
+        self._kron = None
         if not rows:
             self._num = ()
             self._den = 1
@@ -364,44 +419,11 @@ class Poly2(_Poly):
         self._den = den
         return self
 
-    @classmethod
-    def sum_of_products(cls, terms: Iterable[tuple[int, "Poly2", "Poly2"]]) -> "Poly2":
-        """Canonical sum of w*a*b over (w, a, b) triples with integer weights.
+    @property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        return self._num
 
-        The products are accumulated into one integer grid over the lcm of
-        their denominators and canonicalised once, instead of once per
-        product and once per partial sum.  A constant factor (a 1x1 grid)
-        scales the other factor's grid without a `conv2` call.
-        """
-        live = [(w, a, b) for w, a, b in terms if w and a._num and b._num]
-        if not live:
-            return cls._raw([], 1)
-        den = 1
-        rows = cols = 0
-        for _, a, b in live:
-            d = a._den * b._den
-            den = den * d // math.gcd(den, d)
-            rows = max(rows, len(a._num) + len(b._num) - 1)
-            cols = max(cols, len(a._num[0]) + len(b._num[0]) - 1)
-        out = [[0] * cols for _ in range(rows)]
-        for w, a, b in live:
-            m = w * (den // (a._den * b._den))
-            an, bn = a._num, b._num
-            if len(an) == 1 and len(an[0]) == 1:
-                m *= an[0][0]
-                prod = bn
-            elif len(bn) == 1 and len(bn[0]) == 1:
-                m *= bn[0][0]
-                prod = an
-            else:
-                prod = conv2(an, bn)
-            for orow, prow in zip(out, prod):
-                q = 0
-                for v in prow:
-                    if v:
-                        orow[q] += m * v
-                    q += 1
-        return cls._raw(out, den)
+    _from_rows = _raw
 
     @classmethod
     def constant(cls, value: ScalarLike) -> "Poly2":
@@ -441,9 +463,6 @@ class Poly2(_Poly):
             return Fraction(self._num[i][j], self._den)
         return Fraction(0)
 
-    def __neg__(self) -> "Poly2":
-        return Poly2._raw([[-v for v in r] for r in self._num], self._den)
-
     def __add__(self, other) -> "Poly2":
         if isinstance(other, (int, Fraction)):
             other = Poly2.constant(other)
@@ -467,29 +486,6 @@ class Poly2(_Poly):
         return Poly2._raw(out, da * ma)
 
     __radd__ = __add__
-
-    def __mul__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            q = as_scalar(other)
-            return Poly2._raw(
-                [[v * q.numerator for v in r] for r in self._num],
-                self._den * q.denominator,
-            )
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        an, bn = self._num, other._num
-        # A constant factor (a 1x1 grid) scales the other's grid; no `conv2` call.
-        if len(bn) == 1 and len(bn[0]) == 1:
-            c = bn[0][0]
-            grid = [[v * c for v in r] for r in an]
-        elif len(an) == 1 and len(an[0]) == 1:
-            c = an[0][0]
-            grid = [[c * v for v in r] for r in bn]
-        else:
-            grid = conv2(an, bn)
-        return Poly2._raw(grid, self._den * other._den)
-
-    __rmul__ = __mul__
 
     def evaluate(self, x: ScalarLike, y: ScalarLike) -> Fraction:
         xq, yq = as_scalar(x), as_scalar(y)

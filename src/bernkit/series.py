@@ -408,9 +408,15 @@ def laplace_monomial(
         raise ValueError("rate x must be positive")
     if steps <= 0:
         raise ValueError("steps must be positive")
-    T = 40.0 / float(xq) if horizon is None else float(horizon)
+    try:
+        xf = float(xq)
+    except OverflowError:
+        xf = math.inf
+    if not 0 < xf < math.inf:
+        raise ValueError(f"rate x must round to a positive finite float (got {xf})")
+    T = 40.0 / xf if horizon is None else float(horizon)
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite (got {T})")
-    approx = simpson_exp_monomial(k, float(xq), T, steps)
+    approx = simpson_exp_monomial(k, xf, T, steps)
     exact = Fraction(math.factorial(k)) / xq ** (k + 1)
     return LaplaceResult(k=k, x=xq, horizon=T, steps=steps, approx=approx, exact=exact)

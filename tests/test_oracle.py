@@ -178,15 +178,15 @@ def test_oracle_imports_only_the_standard_library():
 
 
 def test_oracle_needs_no_polynomial_arithmetic(monkeypatch):
-    # With the kernels, Poly1 products and the suite's basis expansion all
-    # broken, the oracle still accepts every true identity.
+    # With the product kernel, its packing, Poly1 products and the suite's
+    # basis expansion all broken, the oracle still accepts every true identity.
     cases = [(identity_id, params) for identity_id in SUITE_IDS for params in suite_params(identity_id, 6)]
 
     def broken(*args, **kwargs):
         raise AssertionError("the oracle reached the polynomial layer")
 
-    monkeypatch.setattr(polynomials, "conv1", broken)
-    monkeypatch.setattr(polynomials, "conv2", broken)
+    monkeypatch.setattr(polynomials._Poly, "sum_of_products", broken)
+    monkeypatch.setattr(polynomials, "_pack", broken)
     monkeypatch.setattr(Poly1, "__mul__", broken)
     monkeypatch.setattr(bernstein, "bernstein_basis", broken)
     for identity_id, params in cases:
@@ -201,4 +201,4 @@ def test_leibniz_derivative_matches_the_polynomial_derivative():
             for l in range(n + 2):
                 poly = bernstein_basis(n, k).derivative(l)
                 for x in points:
-                    assert oracle._derivative(n, k, l, x) == poly.evaluate(x), (n, k, l, x)
+                    assert oracle._derivative(n, k, l)(x) == poly.evaluate(x), (n, k, l, x)

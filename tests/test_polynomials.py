@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernkit import polynomials
-from bernkit.polynomials import Poly1, Poly2, as_scalar, conv1, conv2, scalar_str
+from bernkit.polynomials import Poly1, Poly2, as_scalar, scalar_str
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 poly1_st = st.lists(fractions_st, max_size=6).map(Poly1)
@@ -39,11 +39,10 @@ def raw_grid_st(max_width=5):
     )
 
 
-def reference_canonical(rows, den):
-    """(numerators, denominator) of the canonical form, from Fractions alone."""
-    cells = {
-        (i, j): Fraction(v, den) for i, row in enumerate(rows) for j, v in enumerate(row) if v
-    }
+def canonical(cells):
+    """(numerators, denominator) of the canonical form of a {(i, j): Fraction}
+    grid, from Fractions alone; a Poly1 is the one row i = 0."""
+    cells = {key: f for key, f in cells.items() if f}
     if not cells:
         return (), 1
     height = max(i for i, _ in cells) + 1
@@ -53,6 +52,48 @@ def reference_canonical(rows, den):
         tuple(int(cells.get((i, j), 0) * common) for j in range(width)) for i in range(height)
     )
     return nums, common
+
+
+def reference_canonical(rows, den):
+    """(numerators, denominator) of the canonical form, from Fractions alone."""
+    return canonical({(i, j): Fraction(v, den) for i, row in enumerate(rows) for j, v in enumerate(row)})
+
+
+def rows_of(p):
+    """The coefficient rows of p: a Poly1 is one row, a Poly2 one row per power of x."""
+    return (p._num,) if isinstance(p, Poly1) else p._num
+
+
+def numerators(p):
+    """(rows, denominator) of p, in the shape `canonical` returns."""
+    return (rows_of(p) if p._num else ()), p._den
+
+
+def schoolbook(terms):
+    """sum(w * a * b) over the terms by nested loops over Fraction
+    coefficients, canonical, in the shape `canonical` returns."""
+    cells = {}
+    for w, a, b in terms:
+        for i, arow in enumerate(rows_of(a)):
+            for j, brow in enumerate(rows_of(b)):
+                for p, u in enumerate(arow):
+                    for q, v in enumerate(brow):
+                        key = (i + j, p + q)
+                        cells[key] = cells.get(key, 0) + w * Fraction(u, a._den) * Fraction(v, b._den)
+    return canonical(cells)
+
+
+def count_packs(monkeypatch):
+    """Record (row, width) for every row the kernel packs from here on."""
+    packs = []  # in the kernel's order, which these tests do not pin
+    real = polynomials._pack
+
+    def counting_pack(row, width):
+        packs.append((row, width))
+        return real(row, width)
+
+    monkeypatch.setattr(polynomials, "_pack", counting_pack)
+    return packs
 
 
 class TestScalars:
@@ -158,53 +199,36 @@ class TestPoly1Arithmetic:
             zero = Poly1.sum_of_products(terms)
             assert (zero._num, zero._den) == ((), 1)
 
-    def test_sum_of_products_calls_the_kernel_once_per_product(self, monkeypatch):
-        calls = []
-
-        def counting_conv1(a, b):
-            calls.append((a, b))
-            return conv1(a, b)
-
-        monkeypatch.setattr(polynomials, "conv1", counting_conv1)
-        x = Poly1.x()
-        terms = [(1, x, x), (0, x, x), (2, Poly1([1, 1]), x)]
+    def test_sum_of_products_packs_each_operand_once_per_width(self, monkeypatch):
+        packs = count_packs(monkeypatch)
+        x, p = Poly1([0, 1]), Poly1([1, 1])
+        terms = [(1, x, x), (0, x, x), (2, p, x)]
         assert Poly1.sum_of_products(terms) == Poly1([0, 2, 3])
-        assert len(calls) == 2
+        assert sorted(packs) == sorted([(x._num, 64), (p._num, 64)])
+        assert Poly1.sum_of_products(terms) == Poly1([0, 2, 3])
+        assert x * p == Poly1([0, 1, 1])
+        assert len(packs) == 2
+        # A bound of 2^64 or more needs 128-bit slots: each operand packs once more.
+        big = [(2**64, x, x), (1, p, x)]
+        assert Poly1.sum_of_products(big) == Poly1([0, 1, 2**64 + 1])
+        assert sorted(packs[2:]) == sorted([(x._num, 128), (p._num, 128)])
 
-    def test_constant_operands_make_no_kernel_call(self, monkeypatch):
+    def test_constant_operands_match_the_schoolbook_sum(self):
         half, p = Poly1([Fraction(1, 2)]), Poly1([Fraction(1, 3), 0, -2])
         terms = [(3, half, p), (-2, p, Poly1([Fraction(-5, 4)])), (1, half, half), (2, Poly1.x(), p)]
-        want = Poly1()
-        for w, a, b in terms:
-            want = want + a * b * w
-        calls = []
+        assert numerators(Poly1.sum_of_products(terms)) == schoolbook(terms)
 
-        def counting_conv1(a, b):
-            calls.append((a, b))
-            return conv1(a, b)
-
-        monkeypatch.setattr(polynomials, "conv1", counting_conv1)
-        got = Poly1.sum_of_products(terms)
-        assert (got._num, got._den) == (want._num, want._den)
-        assert calls == [(Poly1.x()._num, p._num)]
-
-    def test_constant_factor_products_make_no_kernel_call(self, monkeypatch):
+    def test_products_pack_each_operand_once_per_width(self, monkeypatch):
         p = Poly1([Fraction(1, 3), 0, -2])
         constants = (Poly1([Fraction(-5, 4)]), Poly1.constant(1), Poly1([6]))
-        wants = [Poly1._raw(conv1(p._num, c._num), p._den * c._den) for c in constants]
-        calls = []
-
-        def counting_conv1(a, b):
-            calls.append((a, b))
-            return conv1(a, b)
-
-        monkeypatch.setattr(polynomials, "conv1", counting_conv1)
-        for c, want in zip(constants, wants):
+        packs = count_packs(monkeypatch)
+        for c in constants:
             for got in (p * c, c * p):
-                assert (got._num, got._den) == (want._num, want._den)
+                assert numerators(got) == schoolbook([(1, p, c)])
+        assert sorted(packs) == sorted([(p._num, 64)] + [(c._num, 64) for c in constants])
         power = p**1
         assert (power._num, power._den) == (p._num, p._den)
-        assert calls == []
+        assert len(packs) == 1 + len(constants)
 
     @given(poly1_st, fractions_st, fractions_st)
     def test_at_xy_agrees_with_evaluation(self, p, x, y):
@@ -250,40 +274,23 @@ class TestPoly2:
         zero = Poly2.sum_of_products([(0, Poly2.x(), Poly2.y()), (3, Poly2(), Poly2.x())])
         assert (zero._num, zero._den) == ((), 1)
 
-    def test_constant_operands_make_no_kernel_call(self, monkeypatch):
+    def test_constant_operands_match_the_schoolbook_sum(self):
         c, p = Poly2([[Fraction(3, 2)]]), Poly2([[1, Fraction(1, 3)], [0, -2]])
         terms = [(2, c, p), (-1, p, Poly2.constant(-4)), (5, c, c), (1, Poly2.x(), Poly2.y())]
-        want = Poly2()
-        for w, a, b in terms:
-            want = want + a * b * w
-        calls = []
+        assert numerators(Poly2.sum_of_products(terms)) == schoolbook(terms)
 
-        def counting_conv2(a, b):
-            calls.append((a, b))
-            return conv2(a, b)
-
-        monkeypatch.setattr(polynomials, "conv2", counting_conv2)
-        got = Poly2.sum_of_products(terms)
-        assert (got._num, got._den) == (want._num, want._den)
-        assert calls == [(Poly2.x()._num, Poly2.y()._num)]
-
-    def test_constant_factor_products_make_no_kernel_call(self, monkeypatch):
+    def test_products_pack_each_operand_once_per_width(self, monkeypatch):
         p = Poly2([[1, Fraction(1, 3)], [0, -2]])
         constants = (Poly2([[Fraction(3, 2)]]), Poly2.constant(1), Poly2.constant(-4))
-        wants = [Poly2._raw(conv2(p._num, c._num), p._den * c._den) for c in constants]
-        calls = []
-
-        def counting_conv2(a, b):
-            calls.append((a, b))
-            return conv2(a, b)
-
-        monkeypatch.setattr(polynomials, "conv2", counting_conv2)
-        for c, want in zip(constants, wants):
+        packs = count_packs(monkeypatch)
+        for c in constants:
             for got in (p * c, c * p):
-                assert (got._num, got._den) == (want._num, want._den)
+                assert numerators(got) == schoolbook([(1, p, c)])
+        assert sorted(packs) == sorted([(row, 64) for row in p._num] + [(c._num[0], 64) for c in constants])
+        assert p * p == Poly2([[1, Fraction(2, 3), Fraction(1, 9)], [0, -4, Fraction(-4, 3)], [0, 0, 4]])
+        assert len(packs) == 5
         power = p**1
         assert (power._num, power._den) == (p._num, p._den)
-        assert calls == []
 
     def test_xy_product(self):
         assert Poly2.x() * Poly2.y() == Poly2([[0, 0], [0, 1]])
@@ -316,14 +323,124 @@ class TestPoly2:
 
 
 class TestConvolutionKernels:
+    """The packed product kernel on known products: one row (the 1-D
+    convolution of a Poly1) and several rows (the 2-D one of a Poly2)."""
+
     def test_conv1_known_product(self):
         # (1 + 2x)(3 + x) = 3 + 7x + 2x^2
-        assert conv1([1, 2], [3, 1]) == [3, 7, 2]
+        assert (Poly1([1, 2]) * Poly1([3, 1]))._num == (3, 7, 2)
+        assert Poly1.sum_of_products([(1, Poly1([1, 2]), Poly1([3, 1]))])._num == (3, 7, 2)
 
     def test_conv1_empty_operand(self):
-        assert conv1([], [1, 2]) == []
-        assert conv1([1], []) == []
+        for a, b in ((Poly1(), Poly1([1, 2])), (Poly1([1]), Poly1())):
+            assert numerators(a * b) == ((), 1)
+            assert numerators(Poly1.sum_of_products([(1, a, b)])) == ((), 1)
 
     def test_conv2_known_product(self):
         # (x)(y) = xy
-        assert conv2([[0], [1]], [[0, 1]]) == [[0, 0], [0, 1]]
+        assert (Poly2.x() * Poly2.y())._num == ((0, 0), (0, 1))
+
+
+# Coefficients large enough that |a|_1 |b|_1 straddles 2^63 and 2^64, where
+# the slot width steps from one 64-bit word to two.
+wide_st = st.one_of(st.just(0), st.integers(-(2**33), 2**33))
+wide_poly1_st = st.lists(wide_st, max_size=4).map(Poly1)
+wide_poly2_st = st.lists(st.lists(wide_st, max_size=3), max_size=3).map(Poly2)
+# Bounds on both sides of the steps from one word to two and from two to three.
+STRADDLE = [2**e + d for e in (63, 64, 127, 128) for d in (-1, 0, 1)]
+
+
+def straddling_terms(ring, bound, sign):
+    """Term lists whose bound sum(|w| |a|_1 |b|_1) is `bound` and one of
+    whose output coefficients is sign * bound: one product placed mid-row,
+    and the same value as a sum of two products."""
+    if ring is Poly1:
+        a, b = Poly1.monomial(2, sign * bound), Poly1([0, 1])
+        c, d = Poly1.monomial(3, sign), Poly1.monomial(0, bound - 5)
+        e = Poly1.monomial(3, 5 * sign)
+    else:
+        a, b = Poly2([[0], [0, 0, sign * bound]]), Poly2([[0, 1]])
+        c, d = Poly2([[0], [0, 0, 0, sign]]), Poly2([[bound - 5]])
+        e = Poly2([[0], [0, 0, 5 * sign]])
+    return [[(1, a, b)], [(1, c, d), (1, e, Poly2.y() if ring is Poly2 else Poly1.constant(1))]]
+
+
+class TestPackedKernel:
+    """Both rings' products and fused sums against `schoolbook`, which shares
+    no code with the kernel."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-4, 4),
+                st.one_of(poly1_st, integer_poly1_st, wide_poly1_st),
+                st.one_of(poly1_st, integer_poly1_st, wide_poly1_st),
+            ),
+            max_size=5,
+        )
+    )
+    def test_poly1_sum_of_products_matches_schoolbook(self, terms):
+        assert numerators(Poly1.sum_of_products(terms)) == schoolbook(terms)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-4, 4),
+                st.one_of(padded_poly2_st(), wide_poly2_st),
+                st.one_of(padded_poly2_st(), wide_poly2_st),
+            ),
+            max_size=5,
+        )
+    )
+    def test_poly2_sum_of_products_matches_schoolbook(self, terms):
+        assert numerators(Poly2.sum_of_products(terms)) == schoolbook(terms)
+
+    @given(st.one_of(poly1_st, wide_poly1_st), st.one_of(poly1_st, wide_poly1_st))
+    def test_poly1_product_matches_schoolbook(self, a, b):
+        assert numerators(a * b) == schoolbook([(1, a, b)])
+
+    @given(st.one_of(poly2_st, wide_poly2_st), st.one_of(poly2_st, wide_poly2_st))
+    def test_poly2_product_matches_schoolbook(self, a, b):
+        assert numerators(a * b) == schoolbook([(1, a, b)])
+
+    @given(st.one_of(poly1_st, wide_poly1_st, poly2_st, wide_poly2_st), st.integers(0, 4))
+    def test_powers_match_evaluation(self, p, e):
+        # p^e has degree at most e * deg p in each variable, so agreeing with
+        # Horner evaluation on that many nodes per variable is equality.
+        nodes = range(max(p.degree, 0) * e + 1)
+        q = p**e
+        if isinstance(p, Poly1):
+            assert all(q.evaluate(x) == p.evaluate(x) ** e for x in nodes)
+        else:
+            assert all(q.evaluate(x, y) == p.evaluate(x, y) ** e for x in nodes for y in nodes)
+
+    @pytest.mark.parametrize("ring", [Poly1, Poly2])
+    @pytest.mark.parametrize("bound", STRADDLE)
+    def test_coefficients_at_the_bound_are_exact(self, ring, bound):
+        for sign in (1, -1):
+            for terms in straddling_terms(ring, bound, sign):
+                assert numerators(ring.sum_of_products(terms)) == schoolbook(terms)
+
+    def test_one_bit_short_slot_width_is_caught(self, monkeypatch):
+        # Without the sign bit, a bound of exactly 64 (or 128) bits gets 64
+        # (or 128) bit slots, where a coefficient of +bound overflows its
+        # slot; the cases above notice.
+        monkeypatch.setattr(polynomials, "_slot_width", lambda bound: (bound.bit_length() + 63) // 64 * 64)
+        for ring in (Poly1, Poly2):
+            caught = set()
+            for bound in STRADDLE:
+                for terms in straddling_terms(ring, bound, 1):
+                    try:
+                        if numerators(ring.sum_of_products(terms)) != schoolbook(terms):
+                            caught.add(bound)
+                    except OverflowError:
+                        caught.add(bound)
+            assert caught == {2**63, 2**63 + 1, 2**64 - 1, 2**127, 2**127 + 1, 2**128 - 1}
+
+    @pytest.mark.parametrize("ring", [Poly1, Poly2])
+    def test_one_polynomial_reused_at_two_slot_widths(self, ring):
+        p = ring.x() - 3 if ring is Poly1 else ring.x() - 3 * ring.y() + 2
+        huge = ring.constant(2**70)
+        for terms in ([(1, p, p)], [(1, p, huge)], [(-2, p, p), (1, huge, p)], [(1, p, p)]):
+            assert numerators(ring.sum_of_products(terms)) == schoolbook(terms)
+        assert sorted(p._kron[3]) == [64, 128]

@@ -311,6 +311,11 @@ class TestLaplaceQuadrature:
         for horizon in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 laplace_monomial(0, 1, horizon=horizon)
+        # Positive rates whose float is 0 or overflows.
+        for rate in (Fraction(1, 10**400), Fraction(10**400)):
+            for horizon in (None, 1.0):
+                with pytest.raises(ValueError, match="positive finite float"):
+                    laplace_monomial(0, rate, horizon=horizon, steps=10)
 
     def test_json_payload_roundtrips(self):
         res = laplace_monomial(2, Fraction(1, 2), steps=1_000)
