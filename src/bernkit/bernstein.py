@@ -33,7 +33,14 @@ def falling_factorial(n: int, m: int) -> int:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+# Bound on the memoised basis polynomials.  One default campaign builds 875
+# of them, `--max-degree 14` 1075, `--max-degree 18 --egf-order 32` 1815
+# and the `suite-oracle` workload of `perfbench` 381; 2048 holds each of
+# these runs without an eviction.
+BASIS_CACHE_SIZE = 2048
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def bernstein_basis(n: int, k: int) -> Poly1:
     """Monomial expansion of the Bernstein basis function of degree n, index k.
 

@@ -10,12 +10,14 @@ between runs except for the wall-time field.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional, TextIO
 
 from . import __version__
 from .bernstein import BernsteinForm, bernstein_basis, eval_de_casteljau, to_bernstein, to_monomial
@@ -299,23 +301,46 @@ def run_verify(config: VerifyConfig, mutate: Optional[str] = None) -> CampaignRe
     return report
 
 
-def emit_report(report: CampaignReport, format: Optional[str] = None) -> str:
-    """Render a campaign report; JSON keeps a stable field order and prints
-    every rational as a lossless "p/q" string."""
-    fmt = format or report.config.format
-    if fmt == "json":
-        return json.dumps(report.to_json_dict(), indent=2) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown format: {fmt!r}")
-    lines = [
-        "bernkit verification campaign",
+# Encoder chunks joined into one write.  The JSON report is written in
+# pieces of a few KB, so the memory it takes to print no longer grows with
+# its size (the default campaign's report has about 125 000 chunks).
+_JSON_CHUNKS_PER_WRITE = 1024
+
+
+def _text_lines(report: CampaignReport) -> Iterator[str]:
+    yield "bernkit verification campaign"
+    yield (
         f"config: max_degree={report.config.max_degree} egf_order={report.config.egf_order} "
-        f"seed={report.config.seed} identities={len(report.config.selected())}",
-    ]
+        f"seed={report.config.seed} identities={len(report.config.selected())}"
+    )
     for r in report.results:
         params = " ".join(f"{k}={v}" for k, v in r["params"].items())
-        lines.append(f"{'PASS' if r['passed'] else 'FAIL'} {r['id']} {params}".rstrip())
-    lines.append(f"totals: checks={report.total} passed={report.passed} failed={report.failed}")
-    lines.append(f"wall_time_s: {report.wall_time_s}")
-    lines.append("status: ok" if report.failed == 0 else "status: verification-failed")
-    return "\n".join(lines) + "\n"
+        yield f"{'PASS' if r['passed'] else 'FAIL'} {r['id']} {params}".rstrip()
+    yield f"totals: checks={report.total} passed={report.passed} failed={report.failed}"
+    yield f"wall_time_s: {report.wall_time_s}"
+    yield "status: ok" if report.failed == 0 else "status: verification-failed"
+
+
+def write_report(report: CampaignReport, out: TextIO, format: Optional[str] = None) -> None:
+    """Write a campaign report to `out` in pieces of bounded size; JSON keeps
+    a stable field order and prints every rational as a lossless "p/q"
+    string.  The JSON bytes are those of `json.dumps(..., indent=2)`, which
+    joins the same encoder's chunks."""
+    fmt = format or report.config.format
+    if fmt == "json":
+        chunks = json.JSONEncoder(indent=2).iterencode(report.to_json_dict())
+        while batch := list(islice(chunks, _JSON_CHUNKS_PER_WRITE)):
+            out.write("".join(batch))
+        out.write("\n")
+    elif fmt == "text":
+        for line in _text_lines(report):
+            out.write(line + "\n")
+    else:
+        raise ValueError(f"unknown format: {fmt!r}")
+
+
+def emit_report(report: CampaignReport, format: Optional[str] = None) -> str:
+    """The report `write_report` writes, as one string."""
+    buf = io.StringIO()
+    write_report(report, buf, format)
+    return buf.getvalue()

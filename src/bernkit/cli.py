@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .campaign import ALL_IDS, VerifyConfig, emit_report, run_verify
+from .campaign import ALL_IDS, VerifyConfig, run_verify, write_report
 
 USAGE_EXIT = 2
 BROKEN_PIPE_EXIT = 141
@@ -80,7 +80,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     report = run_verify(config, mutate=args.mutate)
-    sys.stdout.write(emit_report(report))
+    write_report(report, sys.stdout)
     return report.exit_status
 
 

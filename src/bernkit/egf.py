@@ -217,7 +217,16 @@ class TruncatedEGF:
         return f"TruncatedEGF(order={self.order}, [{shown}{tail}])"
 
 
-@functools.lru_cache(maxsize=None)
+# Bounds on the memoised basis series.  A campaign builds one definitional
+# series per (k, order, variable) it reads: 211 at the defaults, 373 at
+# `--max-degree 14` and 587 at `--max-degree 18 --egf-order 32`; and one
+# closed form per k <= max-degree: 11, 15 and 19.  Neither bound evicts in
+# these runs.
+EGF_CACHE_SIZE = 1024
+CLOSED_FORM_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=EGF_CACHE_SIZE)
 def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
     """The generating function whose t^n/n! coefficient is the basis function
     of degree n and index k.
@@ -234,7 +243,7 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
     return TruncatedEGF._of(order, basis)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
 def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
     """Closed form t^k var^k e^{(1-var)t} / k! as an order-N truncation."""
     if k < 0:

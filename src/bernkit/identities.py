@@ -121,7 +121,13 @@ def grid_nodes(degree_bound: int) -> list[Fraction]:
     return [Fraction(i, count) for i in range(1, count + 1)]
 
 
-@functools.lru_cache(maxsize=None)
+# Bound on the memoised grid tables, one per degree n of the trivariate
+# family: a campaign reads n = 0..max-degree (11 tables at the defaults, 19
+# at `--max-degree 18`), and the suite's inputs 9 (n <= 8).
+VALUE_TABLE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=VALUE_TABLE_CACHE_SIZE)
 def _basis_value_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per grid node i/c of `grid_nodes(n)`, the integers
     B_p^m(i/c) c^m = C(m,p) i^p (c-i)^(m-p) for p <= m <= n, indexed as

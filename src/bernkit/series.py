@@ -177,6 +177,8 @@ def tail_bound(series_id: str, k: int, x: ScalarLike, terms: int) -> Fraction:
     """
     xq = as_scalar(x)
     _check_domain(series_id, k, xq)
+    if terms < 0:
+        raise ValueError("terms must be nonnegative")
     magnitude, m0, geometric = _majorant(series_id, k, xq)
     start = max(terms + 1, m0)
     head = sum((magnitude(n) for n in range(terms + 1, start)), Fraction(0))
@@ -226,6 +228,8 @@ def series_sweep(series_id: str, k: int, x: ScalarLike, max_terms: int) -> list[
     built by their ratio recurrence, between the sums and the tail bounds."""
     xq = as_scalar(x)
     _check_domain(series_id, k, xq)
+    if max_terms < 0:
+        raise ValueError("max_terms must be nonnegative")
     _, m0, geometric = _majorant(series_id, k, xq)
     terms = _terms(series_id, k, xq, max(m0, max_terms + 1))
     out = []
@@ -369,21 +373,28 @@ def _scales_exactly(top, x, T, steps, shift):
     return True
 
 
+def _check_steps(steps) -> None:
+    if not isinstance(steps, int):
+        raise ValueError(f"steps must be an integer (got {steps!r})")
+    if steps <= 0:
+        raise ValueError("steps must be positive")
+
+
 def simpson_exp_monomial(k, x, T, steps):
     """Composite Simpson approximation of the integral of t^k e^(-x t) on [0, T].
 
-    `steps` must be positive and is rounded up to the next even number.  The
-    value is read from the memoised block of the five powers around k.  With
-    x = m 2^e (0.5 <= |m| < 1) the block is the one at (m, T 2^e, steps),
-    scaled back by 2^(-e (k+1)): bit for bit the value at (x, T), so every
-    rate with the same binary mantissa shares the block.  Where that scaling
-    is not exact (some intermediate may leave the normal range, see
-    `_scales_exactly`), or e = 0, the block is the one at (x, T, steps).
+    `steps` must be a positive integer; it is rounded up to the next even
+    number.  The value is read from the memoised block of the five powers
+    around k.  With x = m 2^e (0.5 <= |m| < 1) the block is the one at
+    (m, T 2^e, steps), scaled back by 2^(-e (k+1)): bit for bit the value
+    at (x, T), so every rate with the same binary mantissa shares the
+    block.  Where that scaling is not exact (some intermediate may leave
+    the normal range, see `_scales_exactly`), or e = 0, the block is the
+    one at (x, T, steps).
     """
     if k < 0:
         raise ValueError("power k must be nonnegative")
-    if steps <= 0:
-        raise ValueError("steps must be positive")
+    _check_steps(steps)
     j = k % _BLOCK
     first = k - j
     m, e = math.frexp(x)
@@ -406,8 +417,7 @@ def laplace_monomial(
     xq = as_scalar(x)
     if xq <= 0:
         raise ValueError("rate x must be positive")
-    if steps <= 0:
-        raise ValueError("steps must be positive")
+    _check_steps(steps)
     try:
         xf = float(xq)
     except OverflowError:

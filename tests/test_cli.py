@@ -103,9 +103,9 @@ class TestListIdentities:
         assert out.split() == list(ALL_IDS)
 
     @staticmethod
-    def _launch():
+    def _launch(*args):
         env = dict(os.environ, PYTHONPATH=str(Path(bernkit.__file__).parents[1]))
-        argv = [sys.executable, "-m", "bernkit.cli", "--list-identities"]
+        argv = [sys.executable, "-m", "bernkit.cli", *(args or ["--list-identities"])]
         return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
     def test_piped_listing_is_unchanged(self):
@@ -117,6 +117,14 @@ class TestListIdentities:
         # The reader closes its end before the listing is written, as
         # `bernkit --list-identities | head -5` can.
         proc = self._launch()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+    def test_closed_stdout_during_a_report_exits_quietly(self):
+        # The report is streamed, so a reader that leaves early (as
+        # `bernkit --seed 1 | head -c 50` does) meets a write that fails.
+        proc = self._launch("--identities", "sum", "--max-degree", "2")
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (141, b"")

@@ -124,6 +124,14 @@ class TestTailBounds:
             bounds = [c.tail_bound for c in series_sweep(series_id, k, x, 80)]
             assert bounds == [tail_bound(series_id, k, x, n) for n in range(81)], (series_id, k, x)
 
+    def test_negative_term_count_rejected_by_tail_bound(self):
+        with pytest.raises(ValueError, match="terms must be nonnegative"):
+            tail_bound("TG3", 1, Fraction(1, 2), -5)
+
+    def test_negative_term_count_rejected_by_sweep(self):
+        with pytest.raises(ValueError, match="max_terms must be nonnegative"):
+            series_sweep("TG3", 1, Fraction(1, 2), -1)
+
     def test_prefix_property(self):
         # Recomputing with more terms only appends; earlier sums are unchanged.
         sweep = series_sweep("TG3", 2, Fraction(1, 4), 50)
@@ -232,6 +240,13 @@ class TestSimpsonPass:
     def test_nonpositive_steps_rejected(self, steps):
         with pytest.raises(ValueError, match="steps must be positive"):
             simpson_exp_monomial(0, 1.0, 20.0, steps)
+
+    @pytest.mark.parametrize("steps", [1.5, 2.0, "4", None])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            simpson_exp_monomial(0, 1.0, 20.0, steps)
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            laplace_monomial(0, 1, steps=steps)
 
     @pytest.mark.parametrize("steps", [1, 3, 1000, 1001])
     def test_three_blocks_are_bit_identical_to_per_power_loop(self, steps):
