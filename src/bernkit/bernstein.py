@@ -25,14 +25,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def falling_factorial(n: int, m: int) -> int:
-    """n (n-1) ... (n-m+1), with the empty product equal to 1."""
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
-
-
 # Bound on the memoised basis polynomials.  One default campaign builds 875
 # of them, `--max-degree 14` 1075, `--max-degree 18 --egf-order 32` 1815
 # and the `suite-oracle` workload of `perfbench` 381; 2048 holds each of

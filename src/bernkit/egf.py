@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .bernstein import bernstein_basis, binomial, falling_factorial
+from .bernstein import bernstein_basis, binomial
 from .polynomials import Poly1, Poly2, ScalarLike, as_scalar
 from .report import METHOD_SYMBOLIC, IdentityReport, Witness, scalar_str
 
@@ -191,7 +191,7 @@ class TruncatedEGF:
             if m < l:
                 out.append(zero)
             else:
-                out.append(self._coeffs[m - l] * falling_factorial(m, l))
+                out.append(self._coeffs[m - l] * math.perm(m, l))
         return TruncatedEGF._of(self.order, out)
 
     def diff_x(self, l: int = 1) -> "TruncatedEGF":
@@ -235,7 +235,7 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
     closed form t^k var^k e^{(1-var)t} / k! is constructed separately by
     `egf_bernstein_closed`, and their agreement is itself a verified check.
     In x the series holds the cached basis polynomials themselves; in y it
-    is a Poly2 series.
+    is a Poly2 series; `Poly2.coerce` rejects any other variable name.
     """
     basis = [bernstein_basis(n, k) for n in range(order + 1)]
     if var != "x":
@@ -246,6 +246,8 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
 @functools.lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
 def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
     """Closed form t^k var^k e^{(1-var)t} / k! as an order-N truncation."""
+    if var not in ("x", "y"):
+        raise ValueError(f"unknown variable {var!r} (expected 'x' or 'y')")
     if k < 0:
         return TruncatedEGF.zero(order)
     v = Poly1.x() if var == "x" else Poly2.y()

@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .bernstein import bernstein_basis, binomial, falling_factorial
+from .bernstein import bernstein_basis, binomial
 from .polynomials import Poly1, Poly2, scalar_str
 from .report import METHOD_GRID, IdentityReport, Witness, compare_poly
 
@@ -61,8 +61,16 @@ def _bump(base, slot: str, mutate: Optional[str]):
     return base + 1 if mutate == slot else base
 
 
+def _check_slot(identity_id: str, mutate: Optional[str], **params: int) -> None:
+    """Reject a slot that `mutation_slots` does not list at this tuple: the
+    check never reads it, so the mutated check would pass vacuously."""
+    if mutate is not None and mutate not in mutation_slots(identity_id, params):
+        raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {params}")
+
+
 def verify_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Partition of unity: the degree-n basis functions sum to 1."""
+    _check_slot("sum", mutate, n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = Poly1.sum_of_products((1, bernstein_basis(n, k), _ONE) for k in range(n + 1))
@@ -72,6 +80,7 @@ def verify_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
 
 def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Alternating sum of the degree-n basis functions equals (1-2x)^n."""
+    _check_slot("alternating-sum", mutate, n=n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = Poly1.sum_of_products(((-1) ** k, bernstein_basis(n, k), _ONE) for k in range(n + 1))
@@ -82,6 +91,7 @@ def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityR
 
 
 def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
+    _check_slot("subdivision-product", mutate, n=n, j=j)
     lhs = bernstein_basis(n, j).at_xy()
     scale = _bump(1, "scale", mutate)
     rhs = Poly2.sum_of_products(
@@ -96,6 +106,7 @@ def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityRepor
 
 
 def _subdivision_affine(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
+    _check_slot("subdivision-affine", mutate, n=n, j=j)
     lhs = _U**j * _ONE_MINUS_U ** (n - j) * binomial(n, j)
     scale = _bump(1, "scale", mutate)
     rhs = Poly2.sum_of_products(
@@ -149,6 +160,7 @@ def _subdivision_trivariate(n: int, j: int, mutate: Optional[str]) -> IdentityRe
     """Blend of two interval maps: checked on a rational tensor grid because
     the statement genuinely involves three variables.  At the grid point
     (ix, iy, iz)/c both sides are integers over c^(2n)."""
+    _check_slot("subdivision-trivariate", mutate, n=n, j=j)
     tbl = _basis_value_table(n)
     c = len(tbl)
     c2 = c * c
@@ -212,6 +224,7 @@ def verify_subdivision(
 
 def verify_monomial(n: int, l: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """C(n,l) x^l expanded over the degree-n basis, summing indices l..n."""
+    _check_slot("monomial", mutate, n=n, l=l)
     if not 0 <= l <= n:
         raise ValueError(f"power l={l} must lie in 0..{n}")
     lhs = Poly1.monomial(l, binomial(n, l))
@@ -226,10 +239,11 @@ def verify_monomial(n: int, l: int, *, mutate: Optional[str] = None) -> Identity
 def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Order-l derivative of one basis function as a signed binomial
     combination of lower-degree basis functions (out-of-range terms vanish)."""
+    _check_slot("derivative", mutate, n=n, k=k, l=l)
     if not 0 <= l <= n:
         raise ValueError(f"derivative order l={l} must lie in 0..{n}")
     lhs = bernstein_basis(n, k).derivative(l)
-    prefactor = _bump(falling_factorial(n, l), "prefactor", mutate)
+    prefactor = _bump(math.perm(n, l), "prefactor", mutate)
     rhs = Poly1.sum_of_products(
         (
             prefactor * _bump((-1) ** (l - jj) * math.comb(l, jj), f"term:{jj}", mutate),
@@ -244,6 +258,7 @@ def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -
 def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Degree splitting: B_k^n = sum_j B_j^v B_{k-j}^{n-v}; v=1 is the
     standard two-term recurrence."""
+    _check_slot("recurrence", mutate, n=n, k=k, v=v)
     if not 0 <= v <= n:
         raise ValueError(f"split order v={v} must lie in 0..{n}")
     lhs = bernstein_basis(n, k)
@@ -262,6 +277,7 @@ def verify_degree_ops(
     if not 0 <= k <= n:
         raise ValueError(f"index k={k} must lie in 0..{n}")
     if variant == "raise-x":
+        _check_slot("raise-x", mutate, n=n, k=k, d=d)
         if d < 1:
             raise ValueError("raise power d must be at least 1")
         lhs = Poly1.monomial(d) * bernstein_basis(n, k)
@@ -272,6 +288,7 @@ def verify_degree_ops(
         rhs = bernstein_basis(n + d, k + d) * _bump(pf, "prefactor", mutate)
         return compare_poly("raise-x", {"n": n, "k": k, "d": d}, lhs, rhs)
     if variant == "raise-1mx":
+        _check_slot("raise-1mx", mutate, n=n, k=k, d=d)
         if d < 1:
             raise ValueError("raise power d must be at least 1")
         lhs = _ONE_MINUS_X**d * bernstein_basis(n, k)
@@ -282,6 +299,7 @@ def verify_degree_ops(
         rhs = bernstein_basis(n + d, k) * _bump(pf, "prefactor", mutate)
         return compare_poly("raise-1mx", {"n": n, "k": k, "d": d}, lhs, rhs)
     if variant == "elevation":
+        _check_slot("elevation", mutate, n=n, k=k)
         if d != 1:
             raise ValueError("elevation is a single degree step (d must be 1)")
         lhs = bernstein_basis(n, k)
@@ -297,6 +315,7 @@ def verify_degree_ops(
 
 def verify_product(n: int, k1: int, k2: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Index-splitting product formula across all degree splits of n."""
+    _check_slot("product", mutate, n=n, k1=k1, k2=k2)
     if n < 0 or k1 < 0 or k2 < 0:
         raise ValueError("n, k1, k2 must be nonnegative")
     lhs = bernstein_basis(n, k1 + k2)
@@ -314,12 +333,13 @@ def verify_product(n: int, k1: int, k2: int, *, mutate: Optional[str] = None) ->
 def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> IdentityReport:
     """Two-variable pairing: (-xy)^k (y-x)^(n-2k) against a signed binomial
     double sum; requires n >= 2k so the falling-factorial factor is nonzero."""
+    _check_slot("two-point", mutate, n=n, k=k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if n < 2 * k:
         raise ValueError(f"two-point identity needs n >= 2k (got n={n}, k={k})")
     lhs = _XY**k * _Y_MINUS_X ** (n - 2 * k) * (-1) ** k
-    pf = Fraction(math.factorial(k) ** 2, falling_factorial(n, 2 * k))
+    pf = Fraction(math.factorial(k) ** 2, math.perm(n, 2 * k))
     prefactor = _bump(pf, "prefactor", mutate)
     rhs = Poly2.sum_of_products(
         (
@@ -341,18 +361,21 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
     if not 1 <= k <= n:
         raise ValueError(f"index k={k} must lie in 1..{n}")
     if variant == "tg1":
+        _check_slot("tg1", mutate, n=n, k=k)
         lhs = Poly1.sum_of_products(
             (math.comb(n, j), Poly1.monomial(j), bernstein_basis(n - j, k)) for j in range(n - k + 1)
         )
         rhs = Poly1.monomial(k, _bump(binomial(n, k), "rhs-const", mutate))
         return compare_poly("tg1", {"n": n, "k": k}, lhs, rhs)
     if variant == "tg2":
+        _check_slot("tg2", mutate, n=n, k=k)
         lhs = Poly1.sum_of_products(
             ((-1) ** j * math.comb(n, j), bernstein_basis(n - j, k), _ONE) for j in range(n - k + 1)
         )
         rhs = Poly1.monomial(n, _bump((-1) ** (n - k) * binomial(n, k), "rhs-const", mutate))
         return compare_poly("tg2", {"n": n, "k": k}, lhs, rhs)
     if variant == "tg5":
+        _check_slot("tg5", mutate, n=n, k=k)
         lhs = Poly1.sum_of_products(
             ((-1) ** j * math.comb(n, j), _ONE_MINUS_X**j, bernstein_basis(n - j, k))
             for j in range(n - k + 1)
@@ -370,11 +393,12 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
 
 class _SuiteEntry(NamedTuple):
     """params: degree cap -> admissible parameter tuples;
-    check: (params, mutate) -> report;
+    check: the public `verify_*` (a family's with its variant bound), called
+    with the tuple as keywords and `mutate`;
     slots: params -> mutation slot names."""
 
     params: Callable[[int], list[dict]]
-    check: Callable[[Mapping[str, int], Optional[str]], IdentityReport]
+    check: Callable[..., IdentityReport]
     slots: Callable[[Mapping[str, int]], tuple[str, ...]]
 
 
@@ -423,78 +447,78 @@ def _terms(first: str, lo: int, hi: int) -> tuple[str, ...]:
 def _finite_sum(variant: str, slot: str) -> _SuiteEntry:
     return _SuiteEntry(
         _finite_sum_params,
-        lambda p, m: verify_finite_sum(variant, p["n"], p["k"], mutate=m),
+        functools.partial(verify_finite_sum, variant),
         lambda p: (slot,),
     )
 
 
 # Every suite identity, in campaign order.  Adding one means one entry here
-# plus its branch in `oracle.oracle_verify`.  A campaign-level `--mutate`
-# bumps the first slot of each parameter tuple.
+# plus one in `oracle._SIDES` (a test checks that the two agree).  A
+# campaign-level `--mutate` bumps the first slot of each parameter tuple.
 _SUITE = {
     "sum": _SuiteEntry(
         _indexed(),
-        lambda p, m: verify_sum(p["n"], mutate=m),
+        verify_sum,
         lambda p: ("rhs-const",),
     ),
     "alternating-sum": _SuiteEntry(
         _indexed(),
-        lambda p, m: verify_alternating_sum(p["n"], mutate=m),
+        verify_alternating_sum,
         lambda p: ("base-const", "base-slope"),
     ),
     "subdivision-product": _SuiteEntry(
         _indexed("j"),
-        lambda p, m: verify_subdivision("product", p["n"], p["j"], mutate=m),
+        functools.partial(verify_subdivision, "product"),
         lambda p: _terms("scale", p["j"], p["n"]),
     ),
     "subdivision-affine": _SuiteEntry(
         _indexed("j"),
-        lambda p, m: verify_subdivision("affine", p["n"], p["j"], mutate=m),
+        functools.partial(verify_subdivision, "affine"),
         lambda p: _terms("scale", 0, p["j"]),
     ),
     "subdivision-trivariate": _SuiteEntry(
         _indexed("j"),
-        lambda p, m: verify_subdivision("trivariate", p["n"], p["j"], mutate=m),
+        functools.partial(verify_subdivision, "trivariate"),
         lambda p: _terms("scale", 0, p["n"]),
     ),
     "monomial": _SuiteEntry(
         _indexed("l"),
-        lambda p, m: verify_monomial(p["n"], p["l"], mutate=m),
+        verify_monomial,
         lambda p: _terms("scale", p["l"], p["n"]),
     ),
     "derivative": _SuiteEntry(
         _indexed("k", "l"),
-        lambda p, m: verify_derivative(p["n"], p["k"], p["l"], mutate=m),
+        verify_derivative,
         lambda p: _terms("prefactor", 0, p["l"]),
     ),
     "recurrence": _SuiteEntry(
         _indexed("k", "v"),
-        lambda p, m: verify_recurrence(p["n"], p["k"], p["v"], mutate=m),
+        verify_recurrence,
         lambda p: _terms("scale", 0, p["v"]),
     ),
     "raise-x": _SuiteEntry(
         _raise_params,
-        lambda p, m: verify_degree_ops("raise-x", p["n"], p["k"], p["d"], mutate=m),
+        functools.partial(verify_degree_ops, "raise-x"),
         lambda p: ("prefactor",),
     ),
     "raise-1mx": _SuiteEntry(
         _raise_params,
-        lambda p, m: verify_degree_ops("raise-1mx", p["n"], p["k"], p["d"], mutate=m),
+        functools.partial(verify_degree_ops, "raise-1mx"),
         lambda p: ("prefactor",),
     ),
     "elevation": _SuiteEntry(
         _indexed("k"),
-        lambda p, m: verify_degree_ops("elevation", p["n"], p["k"], 1, mutate=m),
+        functools.partial(verify_degree_ops, "elevation"),
         lambda p: ("prefactor", "term:0", "term:1"),
     ),
     "product": _SuiteEntry(
         _product_params,
-        lambda p, m: verify_product(p["n"], p["k1"], p["k2"], mutate=m),
+        verify_product,
         lambda p: _terms("prefactor", 0, p["n"]),
     ),
     "two-point": _SuiteEntry(
         _two_point_params,
-        lambda p, m: verify_two_point(p["n"], p["k"], mutate=m),
+        verify_two_point,
         lambda p: _terms("prefactor", 0, p["n"]),
     ),
     "tg1": _finite_sum("tg1", "rhs-const"),
@@ -537,6 +561,4 @@ def run_identity(
     names = _PARAM_NAMES[identity_id]
     if set(params) != set(names):
         raise ValueError(f"{identity_id} takes parameters {names}, got {tuple(params)}")
-    if mutate is not None and mutate not in entry.slots(params):
-        raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {dict(params)}")
-    return entry.check(params, mutate)
+    return entry.check(**params, mutate=mutate)

@@ -109,38 +109,16 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _subdivision_params(identity_id: str, p: dict) -> tuple[int, int]:
-    n, j = p["n"], p["j"]
+def _subdivision_range(identity_id: str, n: int, j: int) -> None:
     _require(0 <= j <= n, f"{identity_id} needs 0 <= j <= n (got n={n}, j={j})")
-    return n, j
 
 
-def _raise_params(identity_id: str, p: dict) -> tuple[int, int, int]:
-    n, k, d = p["n"], p["k"], p["d"]
+def _raise_range(identity_id: str, n: int, k: int, d: int) -> None:
     _require(0 <= k <= n and d >= 1, f"{identity_id} needs 0 <= k <= n, d >= 1 (got {n}, {k}, {d})")
-    return n, k, d
 
 
-def _finite_sum_params(identity_id: str, p: dict) -> tuple[int, int]:
-    n, k = p["n"], p["k"]
+def _finite_sum_range(identity_id: str, n: int, k: int) -> None:
     _require(1 <= k <= n, f"{identity_id} needs 1 <= k <= n (got n={n}, k={k})")
-    return n, k
-
-
-class _Params(dict):
-    """A parameter tuple that records the names read from it, as `bump`
-    records slots; reading a name it lacks is a ValueError."""
-
-    def __init__(self, identity_id: str, params: Mapping[str, int]):
-        super().__init__(params)
-        self.identity_id = identity_id
-        self.read: set[str] = set()
-
-    def __getitem__(self, name: str) -> int:
-        self.read.add(name)
-        if name not in self:
-            raise ValueError(f"{self.identity_id} needs parameter {name!r}")
-        return super().__getitem__(name)
 
 
 def oracle_verify(identity_id: str, params: Mapping[str, int], mutate: Optional[str] = None) -> bool:
@@ -151,178 +129,207 @@ def oracle_verify(identity_id: str, params: Mapping[str, int], mutate: Optional[
     identity's, a tuple outside the identity's range, or a slot name this
     identity never reads at this tuple.
     """
+    if identity_id not in _SIDES:
+        raise ValueError(f"unknown identity id: {identity_id!r}")
+    names, sides = _SIDES[identity_id]
+    if set(params) != set(names):
+        raise ValueError(f"{identity_id} needs exactly the parameters {sorted(names)}, got {sorted(params)}")
     read: set[str] = set()
 
     def bump(base, slot: str):
         read.add(slot)
         return base + 1 if mutate == slot else base
 
-    p = _Params(identity_id, params)
-    bound, arity, lhs, rhs = _sides(identity_id, p, bump)
-    if p.keys() != p.read:
-        raise ValueError(f"{identity_id} needs exactly the parameters {sorted(p.read)}, got {sorted(p)}")
+    bound, arity, lhs, rhs = sides(bump, **params)
     if mutate is not None and mutate not in read:
         raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {dict(params)}")
     return _agree(bound, arity, lhs, rhs)
 
 
-def _sides(identity_id: str, p: dict, bump: Callable) -> tuple[int, int, Callable, Callable]:
-    """(per-variable degree bound, number of variables, lhs, rhs) of one
-    identity at one tuple, after its range check.  Every right-hand-side
-    constant goes through `bump(base, slot)` here, before any grid point is
-    evaluated, so an early mismatch never leaves a slot unread."""
-    B = _node  # a basis value at a grid node
-    if identity_id == "sum":
-        n = p["n"]
-        _require(n >= 0, f"sum needs n >= 0 (got n={n})")
-        c = bump(1, "rhs-const")
-        return n, 1, lambda x: sum(_row(n, x)), lambda x: c
+# One sides function per identity: (bump, **params) -> (per-variable degree
+# bound, number of variables, lhs, rhs), after its range check.  Every
+# right-hand-side constant goes through `bump(base, slot)` before any grid
+# point is evaluated, so an early mismatch never leaves a slot unread.
 
-    if identity_id == "alternating-sum":
-        n = p["n"]
-        _require(n >= 0, f"alternating-sum needs n >= 0 (got n={n})")
-        c0, c1 = bump(1, "base-const"), bump(-2, "base-slope")
 
-        def lhs(x):
-            row = _row(n, x)
-            return sum(row[0::2]) - sum(row[1::2])
+def _sum_sides(bump: Callable, n: int):
+    _require(n >= 0, f"sum needs n >= 0 (got n={n})")
+    c = bump(1, "rhs-const")
+    return n, 1, lambda x: sum(_row(n, x)), lambda x: c
 
-        return n, 1, lhs, lambda x: (c0 + c1 * x) ** n
 
-    if identity_id == "subdivision-product":
-        n, j = _subdivision_params(identity_id, p)
-        cs = [bump(1, f"term:{k}") for k in range(j, n + 1)]
-        scale = bump(1, "scale")
+def _alternating_sum_sides(bump: Callable, n: int):
+    _require(n >= 0, f"alternating-sum needs n >= 0 (got n={n})")
+    c0, c1 = bump(1, "base-const"), bump(-2, "base-slope")
 
-        # c_k B_j^k(x) for k = j..n: one weight vector per x of the grid.
-        @functools.lru_cache(maxsize=n + 1)
-        def weights(x):
-            return [c * _row(k, x)[j] for k, c in enumerate(cs, j)]
+    def lhs(x):
+        row = _row(n, x)
+        return sum(row[0::2]) - sum(row[1::2])
 
-        rhs = lambda x, y: scale * sum(map(mul, weights(x), _row(n, y)[j:]))
-        return n, 2, lambda x, y: _basis(n, j, x * y), rhs
+    return n, 1, lhs, lambda x: (c0 + c1 * x) ** n
 
-    if identity_id == "subdivision-affine":
-        n, j = _subdivision_params(identity_id, p)
-        cs = [bump(1, f"term:{k}") for k in range(j + 1)]
-        scale = bump(1, "scale")
 
-        # c_k B_{j-k}^{n-k}(x) for k = 0..j: one weight vector per x.
-        @functools.lru_cache(maxsize=n + 1)
-        def weights(x):
-            return [c * _row(n - k, x)[j - k] for k, c in enumerate(cs)]
+def _subdivision_product_sides(bump: Callable, n: int, j: int):
+    _subdivision_range("subdivision-product", n, j)
+    cs = [bump(1, f"term:{k}") for k in range(j, n + 1)]
+    scale = bump(1, "scale")
 
-        rhs = lambda x, y: scale * sum(map(mul, weights(x), _row(n, y)[: j + 1]))
-        return n, 2, lambda x, y: _basis(n, j, x + y - x * y), rhs
+    # c_k B_j^k(x) for k = j..n: one weight vector per x of the grid.
+    @functools.lru_cache(maxsize=n + 1)
+    def weights(x):
+        return [c * _row(k, x)[j] for k, c in enumerate(cs, j)]
 
-    if identity_id == "subdivision-trivariate":
-        n, j = _subdivision_params(identity_id, p)
-        scale = bump(1, "scale")
-        cs = [bump(1, f"term:{k}") for k in range(n + 1)]
+    rhs = lambda x, y: scale * sum(map(mul, weights(x), _row(n, y)[j:]))
+    return n, 2, lambda x, y: _basis(n, j, x * y), rhs
 
-        # c_k sum_q B_{j-q}^{n-k}(x) B_q^k(y) for every k: free of the blend
-        # weight w, so each (x, y) of the grid builds it once.
-        @functools.lru_cache(maxsize=(n + 1) ** 2)
-        def inner(x, y):
-            return [c * _convolve(_row(k, y), _row(n - k, x), j) for k, c in enumerate(cs)]
 
-        rhs = lambda x, y, w: scale * sum(map(mul, _row(n, w), inner(x, y)))
-        return n, 3, lambda x, y, w: _basis(n, j, (1 - w) * x + w * y), rhs
+def _subdivision_affine_sides(bump: Callable, n: int, j: int):
+    _subdivision_range("subdivision-affine", n, j)
+    cs = [bump(1, f"term:{k}") for k in range(j + 1)]
+    scale = bump(1, "scale")
 
-    if identity_id == "monomial":
-        n, l = p["n"], p["l"]
-        _require(0 <= l <= n, f"monomial needs 0 <= l <= n (got n={n}, l={l})")
-        cs = [bump(math.comb(k, l), f"term:{k}") for k in range(l, n + 1)]
-        scale = bump(1, "scale")
-        rhs = lambda x: scale * sum(map(mul, cs, _row(n, x)[l:]))
-        return n, 1, lambda x: math.comb(n, l) * x**l, rhs
+    # c_k B_{j-k}^{n-k}(x) for k = 0..j: one weight vector per x.
+    @functools.lru_cache(maxsize=n + 1)
+    def weights(x):
+        return [c * _row(n - k, x)[j - k] for k, c in enumerate(cs)]
 
-    if identity_id == "derivative":
-        n, k, l = p["n"], p["k"], p["l"]
-        _require(0 <= l <= n, f"derivative needs 0 <= l <= n (got n={n}, l={l})")
-        cs = [bump((-1) ** (l - i) * math.comb(l, i), f"term:{i}") for i in range(l + 1)]
-        pf = bump(math.perm(n, l), "prefactor")
-        rhs = lambda x: pf * _convolve(cs, _row(n - l, x), k)
-        return n, 1, _derivative(n, k, l), rhs
+    rhs = lambda x, y: scale * sum(map(mul, weights(x), _row(n, y)[: j + 1]))
+    return n, 2, lambda x, y: _basis(n, j, x + y - x * y), rhs
 
-    if identity_id == "recurrence":
-        n, k, v = p["n"], p["k"], p["v"]
-        _require(0 <= v <= n, f"recurrence needs 0 <= v <= n (got n={n}, v={v})")
-        cs = [bump(1, f"term:{i}") for i in range(v + 1)]
-        scale = bump(1, "scale")
-        rhs = lambda x: scale * _convolve(list(map(mul, cs, _row(v, x))), _row(n - v, x), k)
-        return n, 1, lambda x: B(n, k, x), rhs
 
-    if identity_id == "raise-x":
-        n, k, d = _raise_params(identity_id, p)
-        pf = Fraction(math.factorial(n) * math.factorial(k + d), math.factorial(k) * math.factorial(n + d))
-        num, den = bump(pf, "prefactor").as_integer_ratio()
-        return n + d, 1, lambda x: den * x**d * B(n, k, x), lambda x: num * B(n + d, k + d, x)
+def _subdivision_trivariate_sides(bump: Callable, n: int, j: int):
+    _subdivision_range("subdivision-trivariate", n, j)
+    scale = bump(1, "scale")
+    cs = [bump(1, f"term:{k}") for k in range(n + 1)]
 
-    if identity_id == "raise-1mx":
-        n, k, d = _raise_params(identity_id, p)
-        pf = Fraction(
-            math.factorial(n) * math.factorial(n + d - k), math.factorial(n + d) * math.factorial(n - k)
-        )
-        num, den = bump(pf, "prefactor").as_integer_ratio()
-        return n + d, 1, lambda x: den * (1 - x) ** d * B(n, k, x), lambda x: num * B(n + d, k, x)
+    # c_k sum_q B_{j-q}^{n-k}(x) B_q^k(y) for every k: free of the blend
+    # weight w, so each (x, y) of the grid builds it once.
+    @functools.lru_cache(maxsize=(n + 1) ** 2)
+    def inner(x, y):
+        return [c * _convolve(_row(k, y), _row(n - k, x), j) for k, c in enumerate(cs)]
 
-    if identity_id == "elevation":
-        n, k = p["n"], p["k"]
-        _require(0 <= k <= n, f"elevation needs 0 <= k <= n (got n={n}, k={k})")
-        c0, c1 = bump(k + 1, "term:0"), bump(n + 1 - k, "term:1")
-        num, den = bump(Fraction(1, n + 1), "prefactor").as_integer_ratio()
-        rhs = lambda x: num * (c0 * B(n + 1, k + 1, x) + c1 * B(n + 1, k, x))
-        return n + 1, 1, lambda x: den * B(n, k, x), rhs
+    rhs = lambda x, y, w: scale * sum(map(mul, _row(n, w), inner(x, y)))
+    return n, 3, lambda x, y, w: _basis(n, j, (1 - w) * x + w * y), rhs
 
-    if identity_id == "product":
-        n, k1, k2 = p["n"], p["k1"], p["k2"]
-        _require(min(n, k1, k2) >= 0, f"product needs n, k1, k2 >= 0 (got {n}, {k1}, {k2})")
-        cs = [bump(math.comb(n, i), f"term:{i}") for i in range(n + 1)]
-        pf = Fraction(2) ** (k1 + k2 - n) * Fraction(
-            math.factorial(k1) * math.factorial(k2), math.factorial(k1 + k2)
-        )
-        num, den = bump(pf, "prefactor").as_integer_ratio()
-        # B_k1^i(x) B_k2^(n-i)(x) is zero outside k1 <= i <= n - k2.
-        rhs = lambda x: num * sum(cs[i] * _row(i, x)[k1] * _row(n - i, x)[k2] for i in range(k1, n - k2 + 1))
-        return n, 1, lambda x: den * B(n, k1 + k2, x), rhs
 
-    if identity_id == "two-point":
-        n, k = p["n"], p["k"]
-        _require(0 <= 2 * k <= n, f"two-point needs 0 <= 2k <= n (got n={n}, k={k})")
-        cs = [bump((-1) ** (n - i) * math.comb(n, i), f"term:{i}") for i in range(n + 1)]
-        pf = Fraction(math.factorial(k) ** 2, math.perm(n, 2 * k))
-        num, den = bump(pf, "prefactor").as_integer_ratio()
-        # B_k^i(x) B_k^(n-i)(y) is zero outside k <= i <= n - k; one weight
-        # vector c_i B_k^i(x) per x.
-        terms = range(k, n - k + 1)
+def _monomial_sides(bump: Callable, n: int, l: int):
+    _require(0 <= l <= n, f"monomial needs 0 <= l <= n (got n={n}, l={l})")
+    cs = [bump(math.comb(k, l), f"term:{k}") for k in range(l, n + 1)]
+    scale = bump(1, "scale")
+    rhs = lambda x: scale * sum(map(mul, cs, _row(n, x)[l:]))
+    return n, 1, lambda x: math.comb(n, l) * x**l, rhs
 
-        @functools.lru_cache(maxsize=n + 1)
-        def weights(x):
-            return [cs[i] * _row(i, x)[k] for i in terms]
 
-        rhs = lambda x, y: num * sum(map(mul, weights(x), [_row(n - i, y)[k] for i in terms]))
-        return n, 2, lambda x, y: den * (-x * y) ** k * (y - x) ** (n - 2 * k), rhs
+def _derivative_sides(bump: Callable, n: int, k: int, l: int):
+    _require(0 <= l <= n, f"derivative needs 0 <= l <= n (got n={n}, l={l})")
+    cs = [bump((-1) ** (l - i) * math.comb(l, i), f"term:{i}") for i in range(l + 1)]
+    pf = bump(math.perm(n, l), "prefactor")
+    rhs = lambda x: pf * _convolve(cs, _row(n - l, x), k)
+    return n, 1, _derivative(n, k, l), rhs
 
-    if identity_id == "tg1":
-        n, k = _finite_sum_params(identity_id, p)
-        c = bump(math.comb(n, k), "rhs-const")
-        lhs = lambda x: sum(math.comb(n, i) * x**i * B(n - i, k, x) for i in range(n - k + 1))
-        return n, 1, lhs, lambda x: c * x**k
 
-    if identity_id == "tg2":
-        n, k = _finite_sum_params(identity_id, p)
-        c = bump((-1) ** (n - k) * math.comb(n, k), "rhs-const")
-        lhs = lambda x: sum((-1) ** i * math.comb(n, i) * B(n - i, k, x) for i in range(n - k + 1))
-        return n, 1, lhs, lambda x: c * x**n
+def _recurrence_sides(bump: Callable, n: int, k: int, v: int):
+    _require(0 <= v <= n, f"recurrence needs 0 <= v <= n (got n={n}, v={v})")
+    cs = [bump(1, f"term:{i}") for i in range(v + 1)]
+    scale = bump(1, "scale")
+    rhs = lambda x: scale * _convolve(list(map(mul, cs, _row(v, x))), _row(n - v, x), k)
+    return n, 1, lambda x: _node(n, k, x), rhs
 
-    if identity_id == "tg5":
-        n, k = _finite_sum_params(identity_id, p)
-        c = bump(0, "branch-const")
 
-        def lhs(x):
-            return sum((-1) ** i * math.comb(n, i) * (1 - x) ** i * B(n - i, k, x) for i in range(n - k + 1))
+def _raise_x_sides(bump: Callable, n: int, k: int, d: int):
+    _raise_range("raise-x", n, k, d)
+    pf = Fraction(math.factorial(n) * math.factorial(k + d), math.factorial(k) * math.factorial(n + d))
+    num, den = bump(pf, "prefactor").as_integer_ratio()
+    return n + d, 1, lambda x: den * x**d * _node(n, k, x), lambda x: num * _node(n + d, k + d, x)
 
-        return n, 1, lhs, lambda x: (x**k if n == k else 0) + c
 
-    raise ValueError(f"unknown identity id: {identity_id!r}")
+def _raise_1mx_sides(bump: Callable, n: int, k: int, d: int):
+    _raise_range("raise-1mx", n, k, d)
+    pf = Fraction(
+        math.factorial(n) * math.factorial(n + d - k), math.factorial(n + d) * math.factorial(n - k)
+    )
+    num, den = bump(pf, "prefactor").as_integer_ratio()
+    return n + d, 1, lambda x: den * (1 - x) ** d * _node(n, k, x), lambda x: num * _node(n + d, k, x)
+
+
+def _elevation_sides(bump: Callable, n: int, k: int):
+    _require(0 <= k <= n, f"elevation needs 0 <= k <= n (got n={n}, k={k})")
+    c0, c1 = bump(k + 1, "term:0"), bump(n + 1 - k, "term:1")
+    num, den = bump(Fraction(1, n + 1), "prefactor").as_integer_ratio()
+    rhs = lambda x: num * (c0 * _node(n + 1, k + 1, x) + c1 * _node(n + 1, k, x))
+    return n + 1, 1, lambda x: den * _node(n, k, x), rhs
+
+
+def _product_sides(bump: Callable, n: int, k1: int, k2: int):
+    _require(min(n, k1, k2) >= 0, f"product needs n, k1, k2 >= 0 (got {n}, {k1}, {k2})")
+    cs = [bump(math.comb(n, i), f"term:{i}") for i in range(n + 1)]
+    pf = Fraction(2) ** (k1 + k2 - n) * Fraction(
+        math.factorial(k1) * math.factorial(k2), math.factorial(k1 + k2)
+    )
+    num, den = bump(pf, "prefactor").as_integer_ratio()
+    # B_k1^i(x) B_k2^(n-i)(x) is zero outside k1 <= i <= n - k2.
+    rhs = lambda x: num * sum(cs[i] * _row(i, x)[k1] * _row(n - i, x)[k2] for i in range(k1, n - k2 + 1))
+    return n, 1, lambda x: den * _node(n, k1 + k2, x), rhs
+
+
+def _two_point_sides(bump: Callable, n: int, k: int):
+    _require(0 <= 2 * k <= n, f"two-point needs 0 <= 2k <= n (got n={n}, k={k})")
+    cs = [bump((-1) ** (n - i) * math.comb(n, i), f"term:{i}") for i in range(n + 1)]
+    pf = Fraction(math.factorial(k) ** 2, math.perm(n, 2 * k))
+    num, den = bump(pf, "prefactor").as_integer_ratio()
+    # B_k^i(x) B_k^(n-i)(y) is zero outside k <= i <= n - k; one weight
+    # vector c_i B_k^i(x) per x.
+    terms = range(k, n - k + 1)
+
+    @functools.lru_cache(maxsize=n + 1)
+    def weights(x):
+        return [cs[i] * _row(i, x)[k] for i in terms]
+
+    rhs = lambda x, y: num * sum(map(mul, weights(x), [_row(n - i, y)[k] for i in terms]))
+    return n, 2, lambda x, y: den * (-x * y) ** k * (y - x) ** (n - 2 * k), rhs
+
+
+def _tg1_sides(bump: Callable, n: int, k: int):
+    _finite_sum_range("tg1", n, k)
+    c = bump(math.comb(n, k), "rhs-const")
+    lhs = lambda x: sum(math.comb(n, i) * x**i * _node(n - i, k, x) for i in range(n - k + 1))
+    return n, 1, lhs, lambda x: c * x**k
+
+
+def _tg2_sides(bump: Callable, n: int, k: int):
+    _finite_sum_range("tg2", n, k)
+    c = bump((-1) ** (n - k) * math.comb(n, k), "rhs-const")
+    lhs = lambda x: sum((-1) ** i * math.comb(n, i) * _node(n - i, k, x) for i in range(n - k + 1))
+    return n, 1, lhs, lambda x: c * x**n
+
+
+def _tg5_sides(bump: Callable, n: int, k: int):
+    _finite_sum_range("tg5", n, k)
+    c = bump(0, "branch-const")
+
+    def lhs(x):
+        return sum((-1) ** i * math.comb(n, i) * (1 - x) ** i * _node(n - i, k, x) for i in range(n - k + 1))
+
+    return n, 1, lhs, lambda x: (x**k if n == k else 0) + c
+
+
+# Identity id -> (parameter names, sides function), in `identities.SUITE_IDS`
+# order; a test checks the ids and names against the suite registry.
+_SIDES = {
+    "sum": (("n",), _sum_sides),
+    "alternating-sum": (("n",), _alternating_sum_sides),
+    "subdivision-product": (("n", "j"), _subdivision_product_sides),
+    "subdivision-affine": (("n", "j"), _subdivision_affine_sides),
+    "subdivision-trivariate": (("n", "j"), _subdivision_trivariate_sides),
+    "monomial": (("n", "l"), _monomial_sides),
+    "derivative": (("n", "k", "l"), _derivative_sides),
+    "recurrence": (("n", "k", "v"), _recurrence_sides),
+    "raise-x": (("n", "k", "d"), _raise_x_sides),
+    "raise-1mx": (("n", "k", "d"), _raise_1mx_sides),
+    "elevation": (("n", "k"), _elevation_sides),
+    "product": (("n", "k1", "k2"), _product_sides),
+    "two-point": (("n", "k"), _two_point_sides),
+    "tg1": (("n", "k"), _tg1_sides),
+    "tg2": (("n", "k"), _tg2_sides),
+    "tg5": (("n", "k"), _tg5_sides),
+}

@@ -444,7 +444,11 @@ class Poly2(_Poly):
         if isinstance(value, Poly2):
             return value
         if isinstance(value, Poly1):
-            return value.as_poly2_in_x() if var == "x" else value.as_poly2_in_y()
+            if var == "x":
+                return value.as_poly2_in_x()
+            if var == "y":
+                return value.as_poly2_in_y()
+            raise ValueError(f"unknown variable {var!r} (expected 'x' or 'y')")
         return Poly2.constant(value)
 
     @property

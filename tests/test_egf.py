@@ -119,6 +119,14 @@ class TestConstructors:
         with pytest.raises(ValueError, match="order must be nonnegative"):
             egf_exp_affine(1, -1)
 
+    def test_unknown_variable_rejected(self):
+        # Only x and y name a variable; any other name used to build y.
+        with pytest.raises(ValueError, match="unknown variable 'z'"):
+            egf_bernstein(1, 2, "z")
+        with pytest.raises(ValueError, match="unknown variable 'q'"):
+            egf_bernstein_closed(1, 2, "q")
+        assert egf_bernstein(1, 2, "y") == egf_bernstein_closed(1, 2, "y")
+
 
 class TestRingOperations:
     def test_exponent_addition(self):

@@ -6,10 +6,12 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
+from bernkit import identities
 from bernkit.bernstein import bernstein_basis
 from bernkit.identities import (
     SUITE_IDS,
@@ -357,8 +359,40 @@ class TestDispatchAndSlots:
             run_identity("no-such-identity", {"n": 1})
 
     def test_invalid_slot_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sum has no mutation slot 'prefactor' at \{'n': 2\}$"):
             run_identity("sum", {"n": 2}, mutate="prefactor")
+
+    @pytest.mark.parametrize("identity_id", SUITE_IDS)
+    def test_public_check_rejects_an_unread_slot(self, identity_id):
+        # The registry holds the public check itself, so this calls the
+        # public function, not `run_identity`.
+        check = identities._SUITE[identity_id].check
+        assert getattr(check, "func", check).__name__.startswith("verify_")
+        params = suite_params(identity_id, 3)[-1]
+        with pytest.raises(ValueError, match=f"^{re.escape(identity_id)} has no mutation slot 'bogus' at "):
+            check(**params, mutate="bogus")
+
+    def test_slots_the_check_never_reads_are_rejected(self):
+        # Each of these once passed, having bumped nothing.
+        with pytest.raises(ValueError, match="no mutation slot"):
+            verify_sum(3, mutate="bogus")
+        with pytest.raises(ValueError, match="no mutation slot"):
+            verify_subdivision("product", 3, 1, mutate="bogus")
+        with pytest.raises(ValueError, match="no mutation slot"):
+            verify_degree_ops("raise-x", 3, 1, 2, mutate="term:0")
+
+    def test_run_identity_checks_the_slot_once(self, monkeypatch):
+        entry = identities._SUITE["product"]
+        seen = []
+
+        def slots(params):
+            seen.append(dict(params))
+            return entry.slots(params)
+
+        monkeypatch.setitem(identities._SUITE, "product", entry._replace(slots=slots))
+        params = {"n": 3, "k1": 1, "k2": 1}
+        assert not run_identity("product", params, mutate="prefactor").passed
+        assert seen == [params]
 
     def test_slots_are_nonempty_for_all_ids(self):
         for identity_id in SUITE_IDS:

@@ -243,6 +243,13 @@ class TestPoly1Arithmetic:
 
 
 class TestPoly2:
+    def test_coerce_names_the_variable(self):
+        p = Poly1([1, 2])  # 1 + 2t
+        assert Poly2.coerce(p) == Poly2.coerce(p, "x") == Poly2([[1], [2]])
+        assert Poly2.coerce(p, "y") == Poly2([[1, 2]])
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            Poly2.coerce(Poly1([0, 1]), "w")
+
     def test_grid_indexing(self):
         p = Poly2([[1, 2], [3, 0]])  # 1 + 2y + 3x
         assert p.coefficient(0, 1) == 2
