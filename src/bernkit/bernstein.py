@@ -11,9 +11,9 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .polynomials import Poly1, ScalarLike, as_scalar
+from .polynomials import Poly1, ScalarLike, _common_den, as_scalar
 
 
 def binomial(n: int, k: int) -> int:
@@ -81,14 +81,14 @@ def eval_de_casteljau(f: BernsteinForm, x: ScalarLike) -> Fraction:
 
     The triangular recurrence b_i <- (1-x) b_i + x b_{i+1} is an evaluation
     path independent of the monomial expansion, which makes the two usable
-    as mutual oracles.
+    as mutual oracles.  It runs on integers: with x = a/q and the coefficients
+    over their lcm d, b_i <- (q-a) b_i + a b_{i+1} ends at d q^n times the value.
     """
-    xq = as_scalar(x)
-    one_minus = 1 - xq
-    level: Sequence[Fraction] = f.coeffs
-    for r in range(f.degree):
-        level = [one_minus * level[i] + xq * level[i + 1] for i in range(len(level) - 1)]
-    return level[0] if level else Fraction(0)
+    a, q = as_scalar(x).as_integer_ratio()
+    level, d = _common_den(f.coeffs)
+    for _ in range(f.degree):
+        level = [(q - a) * u + a * v for u, v in zip(level, level[1:])]
+    return Fraction(level[0], d * q**f.degree)
 
 
 def to_monomial(f: BernsteinForm) -> Poly1:

@@ -6,7 +6,8 @@ forms.  A side that is a sum is one fused integer sum: one
 canonicalised once, with any `Fraction` prefactor applied after it.  The
 three-variable subdivision identity compares exact values, in integers
 only, on a rational tensor grid dense enough that grid equality is
-equivalent to polynomial equality.
+equivalent to polynomial equality; per x node, each side over the whole
+(y, z) grid is packed into one integer, and the two are compared.
 
 Every right-hand side exposes named "mutation slots": passing a slot name
 bumps that one scalar constant by +1, which must flip the verdict for at
@@ -23,12 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional
 
 from .bernstein import bernstein_basis, binomial
-from .polynomials import Poly1, Poly2, scalar_str
+from .polynomials import Poly1, Poly2, _pack, _slot_width, scalar_str
 from .report import METHOD_GRID, IdentityReport, Witness, compare_poly
 
 # Fixed factors, built from their coefficients so that no check adds
@@ -159,47 +159,46 @@ def _basis_value_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def _subdivision_trivariate(n: int, j: int, mutate: Optional[str]) -> IdentityReport:
     """Blend of two interval maps: checked on a rational tensor grid because
     the statement genuinely involves three variables.  At the grid point
-    (ix, iy, iz)/c both sides are integers over c^(2n)."""
+    (ix, iy, iz)/c both sides are integers over c^(2n); per x node, each is
+    packed over the (y, z) grid into one integer, in slot (iy-1)c + iz-1."""
     _check_slot("subdivision-trivariate", mutate, n=n, j=j)
     tbl = _basis_value_table(n)
     c = len(tbl)
     c2 = c * c
     scale = _bump(1, "scale", mutate)
     weights = [scale * _bump(1, f"term:{k}", mutate) for k in range(n + 1)]
+    # The scaled basis values at a node, C(m,p) i^p (c-i)^(m-p), are
+    # nonnegative and sum to c^m; so at every grid point the right side is
+    # at most max(w) c^(2n), and so is the left, c^(2n) B_j^n(u/c^2).
+    width = _slot_width(max(weights) * c2**n)
     # The blend (1-y)x + yz is u/c^2 with u = (c-iy)ix + iy iz in 0..c^2.
+    # Each left value is encoded once, as one slot's bytes; a wider one raises.
     cnj = binomial(n, j)
-    lhs_at = [cnj * u**j * (c2 - u) ** (n - j) for u in range(c2 + 1)]
-    # inner[ix-1][iz-1][k] = weights[k] * sum_p B_p^{n-k}(x) B_{j-p}^k(z),
-    # built once, not at every y.  With z rows reversed both factors run
-    # forward in p from max(0, j-k); map() stops at p = min(j, n-k).
-    reversed_tbl = [[row[::-1] for row in tz] for tz in tbl]
-    inner = [
-        [
-            [
-                weights[k] * sum(map(operator.mul, tx[n - k][max(0, j - k) :], rz[k][max(0, k - j) :]))
-                for k in range(n + 1)
-            ]
-            for rz in reversed_tbl
-        ]
-        for tx in tbl
-    ]
-    degree_n_rows = [t[n] for t in tbl]
-    for ix, inner_x in enumerate(inner, 1):
-        for iy, ty in enumerate(degree_n_rows, 1):
-            base = (c - iy) * ix
-            for iz, inner_xz in enumerate(inner_x, 1):
-                lhs = lhs_at[base + iy * iz]
-                rhs = sum(map(operator.mul, ty, inner_xz))
-                if lhs != rhs:
-                    den = c2**n
-                    witness = Witness(
-                        lhs=scalar_str(Fraction(lhs, den)),
-                        rhs=scalar_str(Fraction(rhs, den)),
-                        point={v: scalar_str(Fraction(i, c)) for v, i in (("x", ix), ("y", iy), ("z", iz))},
-                    )
-                    return IdentityReport(
-                        "subdivision-trivariate", {"n": n, "j": j}, False, METHOD_GRID, witness
-                    )
+    lhs_at = [(cnj * u**j * (c2 - u) ** (n - j)).to_bytes(width // 8, "little") for u in range(c2 + 1)]
+    # The right side at x is sum_(k,p) B_p^(n-k)(x) G_(k,p); G_(k,p) packs
+    # w_k B_k^n(y) B_(j-p)^k(z), each y value times a packed z row, once.
+    terms = []
+    for k in range(n + 1):
+        ys = [weights[k] * t[n][k] for t in tbl]
+        for p in range(max(0, j - k), min(j, n - k) + 1):
+            z = _pack([t[k][j - p] for t in tbl], width)
+            g = b"".join([(y * z).to_bytes(width // 8 * c, "little") for y in ys])
+            terms.append((n - k, p, int.from_bytes(g, "little")))
+    for ix, tx in enumerate(tbl, 1):
+        rows = (lhs_at[(c - iy) * ix + iy : (c - iy) * ix + iy * c + 1 : iy] for iy in range(1, c + 1))
+        lhs = int.from_bytes(b"".join(map(b"".join, rows)), "little")
+        rhs = sum(tx[m][p] * g for m, p, g in terms)
+        if lhs != rhs:
+            # The witness is the lowest differing slot: the first (y, z) point.
+            d = lhs ^ rhs
+            s = ((d & -d).bit_length() - 1) // width
+            lhs, rhs = ((v >> s * width) % (1 << width) for v in (lhs, rhs))
+            witness = Witness(
+                lhs=scalar_str(Fraction(lhs, c2**n)),
+                rhs=scalar_str(Fraction(rhs, c2**n)),
+                point={v: scalar_str(Fraction(i, c)) for v, i in (("x", ix), ("y", s // c + 1), ("z", s % c + 1))},
+            )
+            return IdentityReport("subdivision-trivariate", {"n": n, "j": j}, False, METHOD_GRID, witness)
     return IdentityReport("subdivision-trivariate", {"n": n, "j": j}, True, METHOD_GRID)
 
 
@@ -531,11 +530,16 @@ SUITE_IDS = tuple(_SUITE)
 _PARAM_NAMES = {identity_id: tuple(entry.params(1)[0]) for identity_id, entry in _SUITE.items()}
 
 
-def _entry(identity_id: str) -> _SuiteEntry:
+def _entry(identity_id: str, params: Optional[Mapping[str, int]] = None) -> _SuiteEntry:
+    """The registry entry of `identity_id`; `params`, when given, must name
+    exactly its parameters."""
     try:
-        return _SUITE[identity_id]
+        entry = _SUITE[identity_id]
     except KeyError:
         raise ValueError(f"unknown identity id: {identity_id!r}") from None
+    if params is not None and set(params) != set(_PARAM_NAMES[identity_id]):
+        raise ValueError(f"{identity_id} takes parameters {_PARAM_NAMES[identity_id]}, got {tuple(params)}")
+    return entry
 
 
 def suite_params(identity_id: str, max_degree: int) -> list[dict]:
@@ -544,8 +548,8 @@ def suite_params(identity_id: str, max_degree: int) -> list[dict]:
 
 
 def mutation_slots(identity_id: str, params: Mapping[str, int]) -> tuple[str, ...]:
-    """Slot names valid for one identity at one parameter tuple."""
-    return _entry(identity_id).slots(params)
+    """Slot names valid for one identity at one (name-checked) tuple."""
+    return _entry(identity_id, params).slots(params)
 
 
 def run_identity(
@@ -557,8 +561,4 @@ def run_identity(
     """Run one identity check by id; `params` must name exactly the
     identity's parameters, and `mutate` names a slot from `mutation_slots`
     (validated) to bump by +1."""
-    entry = _entry(identity_id)
-    names = _PARAM_NAMES[identity_id]
-    if set(params) != set(names):
-        raise ValueError(f"{identity_id} takes parameters {names}, got {tuple(params)}")
-    return entry.check(**params, mutate=mutate)
+    return _entry(identity_id, params).check(**params, mutate=mutate)

@@ -86,6 +86,48 @@ class TestDeCasteljau:
                     assert eval_de_casteljau(unit, x) == poly.evaluate(x)
 
 
+def fraction_de_casteljau(coeffs, x):
+    """The recurrence b_i <- (1-x) b_i + x b_{i+1} on Fractions, as
+    `eval_de_casteljau` once ran it."""
+    xq = Fraction(x)
+    level = [Fraction(c) for c in coeffs]
+    while len(level) > 1:
+        level = [(1 - xq) * level[i] + xq * level[i + 1] for i in range(len(level) - 1)]
+    return level[0]
+
+
+class TestIntegerDeCasteljau:
+    """The integer recurrence against the Fraction one it replaced."""
+
+    COEFFS = [
+        [Fraction(-7, 3)],
+        [5],
+        [0],
+        [Fraction(1, 2), Fraction(-2, 3)],
+        [Fraction(3, 4), -2, Fraction(5, 6), 0, Fraction(-11, 10)],
+        [Fraction(-1, 7), Fraction(2, 9), Fraction(-3, 11), Fraction(4, 13), Fraction(-5, 17), 6, -1],
+    ]
+    POINTS = [0, 1, -2, 3, Fraction(1, 3), Fraction(-5, 4), Fraction(9, 7), Fraction(-1, 1000), "2/5", "-3/2", "7/3", "4"]
+
+    def test_matches_the_fraction_recurrence(self):
+        for coeffs in self.COEFFS:
+            f = BernsteinForm(len(coeffs) - 1, coeffs)
+            for x in self.POINTS:
+                got = eval_de_casteljau(f, x)
+                assert type(got) is Fraction
+                assert got == fraction_de_casteljau(coeffs, x), (coeffs, x)
+
+    def test_random_forms_match_the_fraction_recurrence(self):
+        rng = random.Random(11)
+        for n in range(13):
+            for _ in range(5):
+                coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n + 1)]
+                x = Fraction(rng.randint(-40, 80), rng.randint(1, 40))
+                want = fraction_de_casteljau(coeffs, x)
+                f = BernsteinForm(n, coeffs)
+                assert eval_de_casteljau(f, x) == eval_de_casteljau(f, str(x)) == want, (coeffs, x)
+
+
 class TestConversions:
     def test_all_ones_is_constant(self):
         assert to_monomial(BernsteinForm(2, [1, 1, 1])) == Poly1([1])

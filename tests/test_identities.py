@@ -395,9 +395,20 @@ class TestDispatchAndSlots:
         assert seen == [params]
 
     def test_slots_are_nonempty_for_all_ids(self):
+        values = {"n": 4, "j": 2, "k": 1, "l": 1, "v": 1, "k1": 1, "k2": 1, "d": 1}
         for identity_id in SUITE_IDS:
-            slots = mutation_slots(identity_id, {"n": 4, "j": 2, "k": 1, "l": 1, "v": 1, "k1": 1, "k2": 1, "d": 1})
-            assert slots
+            params = {name: values[name] for name in suite_params(identity_id, 1)[0]}
+            assert mutation_slots(identity_id, params)
+
+    def test_mutation_slots_checks_parameter_names(self):
+        # The same check, and message, as run_identity: a missing name once
+        # raised a bare KeyError, and an unknown one was ignored.
+        for identity_id, params in (("monomial", {"n": 3}), ("sum", {"n": 3, "zz": 1})):
+            for call in (mutation_slots, run_identity):
+                with pytest.raises(ValueError, match=f"^{identity_id} takes parameters "):
+                    call(identity_id, params)
+        with pytest.raises(ValueError, match="unknown identity id"):
+            mutation_slots("no-such-identity", {"n": 1})
 
 
 def _suite_cases(max_degree=6, trivariate_degree=5):
@@ -457,3 +468,68 @@ def test_every_slot_report_digest_is_unchanged():
             report = run_identity(identity_id, params, mutate=slot)
             digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == EVERY_SLOT_DIGEST
+
+
+# sha256 as above, over every subdivision-trivariate tuple up to degree 12,
+# clean and with each slot: the packed grids reach 14^3 points per tuple and
+# two 64-bit words per slot.
+TRIVARIATE_DIGEST = "306b9012a25abf4f8c46b3e7a8ec19e9db80959f855833131077fe70c3dc6ac6"
+
+
+def test_trivariate_every_slot_digest_to_degree_12():
+    digest = hashlib.sha256()
+    for params in suite_params("subdivision-trivariate", 12):
+        for slot in (None, *mutation_slots("subdivision-trivariate", params)):
+            report = run_identity("subdivision-trivariate", params, mutate=slot)
+            digest.update(json.dumps(report.to_json_dict(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == TRIVARIATE_DIGEST
+
+
+def test_trivariate_slot_narrower_than_its_bound_is_caught(monkeypatch):
+    # At j = n the left side at x = z = 1 is c^(2n), the slot bound itself
+    # when no weight is bumped.  The widest whole-byte slot below that bound
+    # cannot hold it; the check must raise rather than let the value carry
+    # into the next slot.
+    for n in range(13):
+        assert run_identity("subdivision-trivariate", {"n": n, "j": n}).passed
+    monkeypatch.setattr(identities, "_slot_width", lambda bound: (bound.bit_length() - 1) // 8 * 8)
+    for n in range(13):
+        with pytest.raises(OverflowError):
+            run_identity("subdivision-trivariate", {"n": n, "j": n})
+
+
+def test_trivariate_witness_is_decoded_from_any_slot(monkeypatch):
+    # With the true table, every slot's mismatch shows at the first grid
+    # point, slot 0 of x = 1/c.  Raising one table entry by 1 moves the first
+    # mismatch to other (y, z) slots; the witness must still match the
+    # per-point sums, read in x, y, z order, over the same table.
+    for n in range(1, 5):
+        real = _basis_value_table(n)
+        c = len(real)
+        entries = [(i, m, p) for i in range(c) for m in range(n + 1) for p in range(m + 1)]
+        for i, m, p in entries:
+            table = [[list(row) for row in node] for node in real]
+            table[i][m][p] += 1
+            monkeypatch.setattr(identities, "_basis_value_table", lambda n, table=table: table)
+            for j in range(n + 1):
+                expected = None
+                for ix, iy, iz in itertools.product(range(1, c + 1), repeat=3):
+                    tx, ty, tz = table[ix - 1], table[iy - 1], table[iz - 1]
+                    u = (c - iy) * ix + iy * iz
+                    lhs = math.comb(n, j) * u**j * (c * c - u) ** (n - j)
+                    rhs = sum(
+                        ty[n][k] * sum(tx[n - k][q] * tz[k][j - q] for q in range(max(0, j - k), min(j, n - k) + 1))
+                        for k in range(n + 1)
+                    )
+                    if lhs != rhs:
+                        expected = {"x": ix, "y": iy, "z": iz}, lhs, rhs
+                        break
+                rep = run_identity("subdivision-trivariate", {"n": n, "j": j})
+                if expected is None:
+                    assert rep.passed, (n, j, i, m, p)
+                    continue
+                point, lhs, rhs = expected
+                den = c ** (2 * n)
+                assert not rep.passed
+                assert rep.witness.point == {v: scalar_str(Fraction(t, c)) for v, t in point.items()}
+                assert (rep.witness.lhs, rep.witness.rhs) == (scalar_str(Fraction(lhs, den)), scalar_str(Fraction(rhs, den)))
