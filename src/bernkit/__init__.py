@@ -2,10 +2,13 @@
 
 Four layers:
 
-* `polynomials` / `bernstein` -- exact rational polynomial algebra and the
-  basis functions, with de Casteljau evaluation and basis conversions;
-* `egf` -- a truncated exponential-generating-function ring whose
-  functional-equation catalog is checked coefficient-wise;
+* `polynomials` / `bernstein` -- exact rational polynomial algebra, one
+  row storage packed along x for both rings (a `Poly1` is one row of a
+  `Poly2`), and the basis functions, with de Casteljau evaluation and
+  basis conversions;
+* `egf` -- one truncated exponential-generating-function ring, with
+  `Poly2` coefficients, whose functional-equation catalog is checked
+  coefficient-wise;
 * `identities` / `oracle` -- every classical identity as a parametrized
   exact check, next to an independent oracle that decides each one from
   exact values on a tensor grid, with no polynomial code;
@@ -13,9 +16,9 @@ Four layers:
   quadrature cross-check of the monomial transform.
 
 `cli`/`campaign` tie the layers into reproducible verification campaigns.
-The package is pure Python: the one product kernel (Kronecker-packed
-rows multiplied as big integers) lives in `polynomials` and the
-quadrature loop in `series`.
+The package is pure Python: the one product kernel (rows packed along x
+by Kronecker substitution, multiplied as big integers) lives in
+`polynomials` and the quadrature loop in `series`.
 """
 
 __version__ = "0.1.0"

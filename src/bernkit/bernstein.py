@@ -3,7 +3,9 @@
 The basis function of degree n and index k is C(n,k) x^k (1-x)^(n-k).
 Out-of-range indices (k < 0 or k > n) yield the zero polynomial; the
 identity machinery leans on that convention everywhere, so it is part of
-the contract rather than an error.
+the contract rather than an error.  `basis_in` is the one memoised
+embedding of a basis function into `Poly2`, in x or in y, read by the EGF
+series and the two-variable suite checks alike.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from .polynomials import Poly1, ScalarLike, _common_den, as_scalar
+from .polynomials import Poly1, Poly2, ScalarLike, _common_den, as_scalar
 
 
 def binomial(n: int, k: int) -> int:
@@ -26,7 +28,7 @@ def binomial(n: int, k: int) -> int:
 
 
 # Bound on the memoised basis polynomials.  One default campaign builds 875
-# of them, `--max-degree 14` 1075, `--max-degree 18 --egf-order 32` 1815
+# of them, `--max-degree 14` 975, `--max-degree 18 --egf-order 32` 1683
 # and the `suite-oracle` workload of `perfbench` 381; 2048 holds each of
 # these runs without an eviction.
 BASIS_CACHE_SIZE = 2048
@@ -47,7 +49,23 @@ def bernstein_basis(n: int, k: int) -> Poly1:
     nums = [0] * (n + 1)
     for i in range(n - k + 1):
         nums[k + i] = lead * math.comb(n - k, i) * (-1 if i % 2 else 1)
-    return Poly1._raw(nums, 1)
+    return Poly1._raw([nums], 1)
+
+
+# Bound on the memoised embeddings, read by the EGF series and the
+# two-variable suite checks.  A campaign reads one per distinct (var, n, k),
+# zero polynomials at k < 0 or k > n included: 1150 at the defaults, 1303 at
+# `--max-degree 14` and 2247 at `--max-degree 18 --egf-order 32`; 4096 holds
+# each of these runs without an eviction.
+EMBEDDING_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
+def basis_in(var: str, n: int, k: int) -> Poly2:
+    """B_k^n as a Poly2 in `var` ("x" or "y"; any other name is a
+    ValueError); memoised, so each embedding is built, and packed for the
+    product kernel, once.  In x it is a view of `bernstein_basis(n, k)`."""
+    return Poly2.coerce(bernstein_basis(n, k), var)
 
 
 class BernsteinForm:

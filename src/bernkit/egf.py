@@ -1,21 +1,13 @@
 """Truncated exponential-generating-function ring with polynomial coefficients.
 
 A `TruncatedEGF` of order N stands for sum_{n=0..N} a_n t^n/n! + O(t^{N+1})
-with each a_n a polynomial in x, or in x and y.  The family
+with each a_n a `Poly2`, a polynomial in x and y.  The family
 egf_bernstein(k, .) packs the Bernstein basis functions of fixed index k,
 one degree per t-order; products are binomial convolutions, so every
 functional equation between such series reads off coefficient-wise as a
-polynomial identity, one per degree.
-
-A series stores its coefficients as `Poly1` (polynomials in x) until an
-operand from the bivariate ring enters: a `Poly2` coefficient, weight,
-substitution or exponent, or a series already stored as `Poly2`.  Then
-every operand is lifted in `_coerce`, the one promotion point, and the
-result stays bivariate.  In the catalog only FE-SUB (`egf_bernstein_at`,
-`substitute_t(y)`, `egf_exp_affine(1 - y)`) and FE-XY (the series in y and
-the xy prefactor) are promoted; the other families and the closed-form
-check run on `Poly1` alone.  The public surface (`coeffs`, `coefficient`,
-`egf_equal`'s difference) speaks `Poly2` whichever ring holds the series.
+polynomial identity, one per degree.  Coefficients in x alone are one
+packed row each, so the ring costs what a univariate one would, and a
+`Poly1` operand enters as a view of its rows (`Poly2.coerce`).
 
 The catalog in `check_functional_equation` carries the equations this
 library verifies mechanically; each one is checked as exact coefficient
@@ -30,28 +22,17 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .bernstein import bernstein_basis, binomial
+from .bernstein import basis_in, bernstein_basis, binomial
 from .polynomials import Poly1, Poly2, ScalarLike, as_scalar
 from .report import METHOD_SYMBOLIC, IdentityReport, Witness, scalar_str
 
 CoeffLike = Union[ScalarLike, Poly1, Poly2]
-Ring = Union[type[Poly1], type[Poly2]]
 
 
-def _ring_of(*values) -> Ring:
-    """Poly2 if any value is a Poly2 or a series stored in Poly2, else Poly1."""
-    for v in values:
-        if isinstance(v, Poly2) or (isinstance(v, TruncatedEGF) and v._ring is Poly2):
-            return Poly2
-    return Poly1
-
-
-def _coerce(value: CoeffLike, ring: Ring):
-    """`value` as an element of `ring`; the one place a Poly1 (read as a
-    polynomial in x) is promoted to Poly2."""
-    if ring is Poly2:
-        return Poly2.coerce(value)
-    return value if isinstance(value, Poly1) else Poly1.constant(value)
+def _factor(value: CoeffLike) -> Union[Poly2, Fraction]:
+    """A polynomial as a Poly2; a scalar as an exact rational, which scales
+    numerators without the product kernel."""
+    return Poly2.coerce(value) if isinstance(value, (Poly1, Poly2)) else as_scalar(value)
 
 
 class TruncatedEGF:
@@ -62,17 +43,15 @@ class TruncatedEGF:
     def __init__(self, order: int, coeffs: Iterable[CoeffLike]):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = tuple(coeffs)
-        ring = _ring_of(*cs)
-        cs = tuple(_coerce(c, ring) for c in cs)
+        cs = tuple(map(Poly2.coerce, coeffs))
         if len(cs) != order + 1:
             raise ValueError(f"order {order} needs {order + 1} coefficients, got {len(cs)}")
         self.order = order
         self._coeffs = cs
 
     @classmethod
-    def _of(cls, order: int, coeffs: Iterable) -> "TruncatedEGF":
-        """Internal constructor from order+1 coefficients of one ring; every
+    def _of(cls, order: int, coeffs: Iterable[Poly2]) -> "TruncatedEGF":
+        """Internal constructor from order+1 Poly2 coefficients; every
         builder ends here, so a negative order fails loudly."""
         if order < 0:
             raise ValueError("order must be nonnegative")
@@ -83,61 +62,41 @@ class TruncatedEGF:
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedEGF":
-        return cls._of(order, [Poly1()] * (order + 1))
-
-    @property
-    def _ring(self) -> Ring:
-        return type(self._coeffs[0])
-
-    def _in(self, ring: Ring) -> tuple:
-        """The coefficients as elements of `ring` (lifted if need be)."""
-        if self._ring is ring:
-            return self._coeffs
-        return tuple(_coerce(c, ring) for c in self._coeffs)
+        return cls._of(order, [Poly2()] * (order + 1))
 
     @property
     def coeffs(self) -> tuple[Poly2, ...]:
-        return self._in(Poly2)
+        return self._coeffs
 
     def coefficient(self, n: int) -> Poly2:
         """Coefficient of t^n/n!."""
         if not 0 <= n <= self.order:
             raise IndexError(f"order {self.order} series has no coefficient {n}")
-        return _coerce(self._coeffs[n], Poly2)
+        return self._coeffs[n]
 
     def _require_same_order(self, other: "TruncatedEGF") -> None:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
 
-    def _common(self, other: "TruncatedEGF") -> tuple[tuple, tuple]:
-        """Both coefficient tuples in the smallest ring that holds them."""
-        ring = _ring_of(self, other)
-        return self._in(ring), other._in(ring)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedEGF):
-            if self.order != other.order:
-                return False
-            a, b = self._common(other)
-            return a == b
+            return self.order == other.order and self._coeffs == other._coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self._coeffs))
 
     def __add__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._require_same_order(other)
-        a, b = self._common(other)
-        return TruncatedEGF._of(self.order, [p + q for p, q in zip(a, b)])
+        return TruncatedEGF._of(self.order, [p + q for p, q in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other: "TruncatedEGF") -> "TruncatedEGF":
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._require_same_order(other)
-        a, b = self._common(other)
-        return TruncatedEGF._of(self.order, [p - q for p, q in zip(a, b)])
+        return TruncatedEGF._of(self.order, [p - q for p, q in zip(self._coeffs, other._coeffs)])
 
     def __neg__(self) -> "TruncatedEGF":
         return TruncatedEGF._of(self.order, [-a for a in self._coeffs])
@@ -147,35 +106,26 @@ class TruncatedEGF:
         if not isinstance(other, TruncatedEGF):
             return NotImplemented
         self._require_same_order(other)
-        a, b = self._common(other)
-        ring = type(a[0])
+        a, b = self._coeffs, other._coeffs
         return TruncatedEGF._of(
             self.order,
             [
-                ring.sum_of_products((math.comb(n, j), a[j], b[n - j]) for j in range(n + 1))
+                Poly2.sum_of_products((math.comb(n, j), a[j], b[n - j]) for j in range(n + 1))
                 for n in range(self.order + 1)
             ],
         )
 
-    def _factor(self, value: CoeffLike):
-        """(coefficients, factor) for multiplying by `value`: a scalar as an
-        exact rational, a polynomial in the ring both share."""
-        if isinstance(value, (Poly1, Poly2)):
-            ring = _ring_of(self, value)
-            return self._in(ring), _coerce(value, ring)
-        return self._coeffs, as_scalar(value)
-
     def scale(self, value: CoeffLike) -> "TruncatedEGF":
         """Multiply every coefficient by a fixed polynomial or scalar."""
-        coeffs, c = self._factor(value)
-        return TruncatedEGF._of(self.order, [a * c for a in coeffs])
+        c = _factor(value)
+        return TruncatedEGF._of(self.order, [a * c for a in self._coeffs])
 
     def substitute_t(self, s: CoeffLike) -> "TruncatedEGF":
         """Replace t by t*s for s free of t: coefficient n picks up a factor s^n."""
-        coeffs, sq = self._factor(s)
+        sq = _factor(s)
         out = []
         power = 1
-        for n, a in enumerate(coeffs):
+        for n, a in enumerate(self._coeffs):
             if n:
                 power = power * sq
             out.append(a * power)
@@ -185,7 +135,7 @@ class TruncatedEGF:
         """Multiply by t^l (truncation order is kept): c_m = (m)_l a_{m-l}."""
         if l < 0:
             raise ValueError("shift power must be nonnegative")
-        zero = self._ring()
+        zero = Poly2()
         out = []
         for m in range(self.order + 1):
             if m < l:
@@ -218,8 +168,8 @@ class TruncatedEGF:
 
 
 # Bounds on the memoised basis series.  A campaign builds one definitional
-# series per (k, order, variable) it reads: 211 at the defaults, 373 at
-# `--max-degree 14` and 587 at `--max-degree 18 --egf-order 32`; and one
+# series per (k, order, variable) it reads: 211 at the defaults, 367 at
+# `--max-degree 14` and 581 at `--max-degree 18 --egf-order 32`; and one
 # closed form per k <= max-degree: 11, 15 and 19.  Neither bound evicts in
 # these runs.
 EGF_CACHE_SIZE = 1024
@@ -234,13 +184,10 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
     Built from the definition (one monomial expansion per degree); the
     closed form t^k var^k e^{(1-var)t} / k! is constructed separately by
     `egf_bernstein_closed`, and their agreement is itself a verified check.
-    In x the series holds the cached basis polynomials themselves; in y it
-    is a Poly2 series; `Poly2.coerce` rejects any other variable name.
+    The coefficients are the memoised embeddings `basis_in(var, n, k)`,
+    which reject any variable name but x and y.
     """
-    basis = [bernstein_basis(n, k) for n in range(order + 1)]
-    if var != "x":
-        basis = [Poly2.coerce(b, var) for b in basis]
-    return TruncatedEGF._of(order, basis)
+    return TruncatedEGF._of(order, [basis_in(var, n, k) for n in range(order + 1)])
 
 
 @functools.lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
@@ -250,7 +197,7 @@ def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
         raise ValueError(f"unknown variable {var!r} (expected 'x' or 'y')")
     if k < 0:
         return TruncatedEGF.zero(order)
-    v = Poly1.x() if var == "x" else Poly2.y()
+    v = Poly2.x() if var == "x" else Poly2.y()
     series = egf_exp_affine(1 - v, order).shift_t(k)
     return series.scale(v**k * Fraction(1, math.factorial(k)))
 
@@ -263,13 +210,10 @@ def egf_bernstein_at(k: int, order: int) -> TruncatedEGF:
 
 def egf_exp_affine(c: CoeffLike, order: int) -> TruncatedEGF:
     """e^{c t} for an exponent polynomial of total degree at most one."""
-    if isinstance(c, (Poly1, Poly2)):
-        degree = c.degree
-    else:
-        c, degree = as_scalar(c), 0
-    if degree > 1:
+    c = _factor(c)
+    if isinstance(c, Poly2) and c.degree > 1:
         raise ValueError("exponent must have total degree <= 1")
-    coeffs = [_ring_of(c).constant(1)]
+    coeffs = [Poly2.constant(1)]
     for _ in range(order):
         coeffs.append(coeffs[-1] * c)
     return TruncatedEGF._of(order, coeffs)
@@ -280,14 +224,12 @@ def egf_linear_combination(
 ) -> TruncatedEGF:
     """sum_j w_j E_j for polynomial or scalar weights w_j and order-`order`
     series E_j; each output coefficient is canonicalised once."""
-    pairs = list(terms)
-    if any(e.order != order for _, e in pairs):
+    pairs = [(Poly2.coerce(w), e._coeffs) for w, e in terms]
+    if any(len(e) != order + 1 for _, e in pairs):
         raise ValueError(f"every term must have order {order}")
-    ring = _ring_of(*(v for pair in pairs for v in pair))
-    pairs = [(_coerce(w, ring), e._in(ring)) for w, e in pairs]
     return TruncatedEGF._of(
         order,
-        [ring.sum_of_products((1, w, e[n]) for w, e in pairs) for n in range(order + 1)],
+        [Poly2.sum_of_products((1, w, e[n]) for w, e in pairs) for n in range(order + 1)],
     )
 
 
@@ -296,21 +238,20 @@ def egf_equal(a: TruncatedEGF, b: TruncatedEGF) -> tuple[bool, Optional[tuple[in
     and the coefficient difference there."""
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    ca, cb = a._common(b)
-    for n in range(a.order + 1):
-        if ca[n] != cb[n]:
-            return False, (n, _coerce(ca[n] - cb[n], Poly2))
+    for n, (p, q) in enumerate(zip(a._coeffs, b._coeffs)):
+        if p != q:
+            return False, (n, p - q)
     return True, None
 
 
 # --- functional-equation catalog -------------------------------------------
 
-_X = Poly1.x()
+_X = Poly2.x()
 _Y = Poly2.y()
-_XY = _X.at_xy()
+_XY = _X * _Y
 
 
-def _monomial_scale(k: int, var: Poly1) -> Poly1:
+def _monomial_scale(k: int, var: Poly2) -> Poly2:
     return var**k * Fraction(1, math.factorial(k))
 
 
@@ -355,16 +296,12 @@ def _fe_mono(order: int, l: int):
 
 
 def _fe_diffx(order: int, k: int, l: int):
-    if l > order:
-        raise ValueError(f"derivative order l={l} must not exceed the truncation order {order}")
     lhs = egf_bernstein(k, order).diff_x(l)
     terms = [((-1) ** (l - j) * math.comb(l, j), egf_bernstein(k - j, order)) for j in range(l + 1)]
     return lhs, egf_linear_combination(order, terms).shift_t(l)
 
 
 def _fe_difft(order: int, k: int, v: int):
-    if v > order:
-        raise ValueError(f"derivative order v={v} must not exceed the truncation order {order}")
     lhs = egf_bernstein(k, order).diff_t(v)
     terms = [(bernstein_basis(v, j), egf_bernstein(k - j, order - v)) for j in range(v + 1)]
     return lhs, egf_linear_combination(order - v, terms)
@@ -381,7 +318,7 @@ def _fe_xy(order: int, k: int):
     lhs = egf_bernstein(k, order) * egf_bernstein(k, order, var="y").substitute_t(-1)
     sign = -1 if k % 2 else 1
     front = _XY**k * Fraction(sign, math.factorial(k) ** 2)
-    rhs = egf_exp_affine(_Y - Poly2.x(), order).shift_t(2 * k).scale(front)
+    rhs = egf_exp_affine(_Y - _X, order).shift_t(2 * k).scale(front)
     return lhs, rhs
 
 
@@ -401,6 +338,18 @@ _FE_CATALOG = {
 
 FE_IDS = tuple(_FE_CATALOG)
 
+# The lowest t-order at which an equation's two sides are nonzero, from its
+# indices: k1 + k2 for FE-PROD, 2k for FE-XY, and the largest index for the
+# others (0 for FE-SUM and FE-ALT).
+_LEAD = {"FE-PROD": lambda k1, k2: k1 + k2, "FE-XY": lambda k: 2 * k}
+
+
+def fe_vacuous(fe_id: str, params: Mapping[str, int], order: int) -> bool:
+    """Whether both sides of one catalog entry vanish through `order`: the
+    check, mutated or not, would then pass whatever it compared."""
+    lead = _LEAD.get(fe_id)
+    return (lead(**params) if lead else max(params.values(), default=0)) > order
+
 
 def fe_param_names(fe_id: str) -> tuple[str, ...]:
     if fe_id not in _FE_CATALOG:
@@ -418,7 +367,8 @@ def check_functional_equation(
 
     `mutate=True` doubles the right-hand side (the unit prefactor bumped by
     one), which must flip the verdict whenever the truncated right side is
-    nonzero -- the deliberate-failure path used in CI.
+    nonzero -- the deliberate-failure path used in CI.  A tuple whose sides
+    both vanish through `order` (`fe_vacuous`) is a ValueError.
     """
     if fe_id not in _FE_CATALOG:
         raise ValueError(f"unknown functional equation id: {fe_id!r}")
@@ -429,6 +379,10 @@ def check_functional_equation(
     for name, value in values.items():
         if value < 0:
             raise ValueError(f"{fe_id} parameter {name} must be nonnegative")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if fe_vacuous(fe_id, values, order):
+        raise ValueError(f"{fe_id} at {values} vanishes through order {order}: the check would pass vacuously")
     lhs, rhs = builder(order, **values)
     return _verdict(fe_id, values, lhs, rhs, mutate)
 

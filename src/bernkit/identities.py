@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional
 
-from .bernstein import bernstein_basis, binomial
+from .bernstein import basis_in, bernstein_basis, binomial
 from .polynomials import Poly1, Poly2, _pack, _slot_width, scalar_str
 from .report import METHOD_GRID, IdentityReport, Witness, compare_poly
 
@@ -40,20 +40,6 @@ _Y_MINUS_X = Poly2([[0, 1], [-1, 0]])
 # The affine blend u = (1-y)x + y = x + y - xy, and 1 - u = (1-x)(1-y).
 _U = Poly2([[0, 1], [1, -1]])
 _ONE_MINUS_U = Poly2([[1, -1], [-1, 1]])
-
-
-# Bound on the memoised Poly2 embeddings of basis polynomials read by the
-# subdivision and two-point families.  Every suite tuple up to degree 14
-# reads 296 distinct ones (the two-point family also embeds zero
-# polynomials, B_k^j with k > j); the default campaign reads 162.
-EMBEDDING_CACHE_SIZE = 512
-
-
-@functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)
-def _basis_in(var: str, n: int, k: int) -> Poly2:
-    """B_k^n as a Poly2 in `var` ("x" or "y"); memoised, so each embedding
-    is built, and packed for the product kernel, once."""
-    return Poly2.coerce(bernstein_basis(n, k), var)
 
 
 def _bump(base, slot: str, mutate: Optional[str]):
@@ -97,8 +83,8 @@ def _subdivision_product(n: int, j: int, mutate: Optional[str]) -> IdentityRepor
     rhs = Poly2.sum_of_products(
         (
             scale * _bump(1, f"term:{k}", mutate),
-            _basis_in("x", k, j),
-            _basis_in("y", n, k),
+            basis_in("x", k, j),
+            basis_in("y", n, k),
         )
         for k in range(j, n + 1)
     )
@@ -112,8 +98,8 @@ def _subdivision_affine(n: int, j: int, mutate: Optional[str]) -> IdentityReport
     rhs = Poly2.sum_of_products(
         (
             scale * _bump(1, f"term:{k}", mutate),
-            _basis_in("x", n - k, j - k),
-            _basis_in("y", n, k),
+            basis_in("x", n - k, j - k),
+            basis_in("y", n, k),
         )
         for k in range(j + 1)
     )
@@ -343,8 +329,8 @@ def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> Identit
     rhs = Poly2.sum_of_products(
         (
             _bump((-1) ** (n - j) * math.comb(n, j), f"term:{j}", mutate),
-            _basis_in("x", j, k),
-            _basis_in("y", n - j, k),
+            basis_in("x", j, k),
+            basis_in("y", n - j, k),
         )
         for j in range(n + 1)
     )

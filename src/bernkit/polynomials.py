@@ -5,17 +5,23 @@ positive denominator, kept canonical (trailing zeros trimmed, content and
 denominator coprime).  All arithmetic is exact; the public surface speaks
 `fractions.Fraction`.  The value of an instance never changes, and equality
 and hashing read only that value, so instances are safe to share across
-threads and to memoize.  `Poly1` and `Poly2` share one base, `_Poly`, and
-one vocabulary (`degree`, `derivative` in x, `monomials` as ((exponents),
-coefficient) pairs).
+threads and to memoize.
 
-Both rings multiply in one kernel, `_Poly.sum_of_products`.  Each row of
-coefficients (the one row of a `Poly1`, or the row of each power of x in a
-`Poly2`) is packed by Kronecker substitution in its last variable into one
-`int`, with a fixed number of bits per coefficient slot, so that one
-big-integer product convolves two rows; powers square the packed rows.
-The packed rows are a lazy cache on the instance, filled once per slot
-width and not part of its value.
+Both rings store one layout, packed along x: `_num` is a tuple of
+equal-length rows, row j holding the coefficients of x^i y^j for
+i = 0, 1, ...  A `Poly1` is the one-row case, so a `Poly2` in x alone
+costs what a `Poly1` does, and `Poly2.coerce` lifts a `Poly1` as a view
+of its rows.  The shared base, `_Poly`, holds the arithmetic once; each
+ring adds only its public surface (`degree`, `coefficient`, `evaluate`,
+`monomials`), and `Poly2(grid)` reads grid[i][j] as the coefficient of
+x^i y^j.
+
+Both rings multiply in one kernel, `_Poly.sum_of_products`.  Each row is
+packed by Kronecker substitution in x into one `int`, with a fixed number
+of bits per coefficient slot, so that one big-integer product convolves
+two rows; powers square the packed rows.  The packed rows are a lazy
+cache on the instance, filled once per slot width and not part of its
+value.
 """
 
 from __future__ import annotations
@@ -114,30 +120,68 @@ def _common_den(fracs: list[Fraction]) -> tuple[list[int], int]:
 
 
 class _Poly:
-    """What both rings share: integer coefficients `_num` over one positive
-    denominator `_den`, canonical, so that equality is equality of the pair.
-    Each ring defines `constant`, `__add__`, `monomials`, and its
-    coefficients as rows (`_rows`, `_from_rows`); products, negation,
-    subtraction, powers, equality and printing are built on them here,
-    once."""
+    """What both rings share: integer rows `_num` over one positive
+    denominator `_den`, canonical, so that equality is equality of the
+    pair; row j holds the coefficients of x^i y^j.  Construction,
+    canonicalisation, sums, the x derivative, products, powers, equality
+    and printing live here, once."""
 
     __slots__ = ("_num", "_den", "_kron")
+
+    @classmethod
+    def _raw(cls, rows: list, den: int):
+        """Internal constructor from a rectangular integer grid (a list of
+        equal-length rows) over a positive denominator: trailing zero rows
+        and columns are trimmed and the content shared with the
+        denominator divided out."""
+        while rows and not any(rows[-1]):
+            rows.pop()
+        self = object.__new__(cls)
+        self._kron = None
+        if not rows:
+            self._num = ()
+            self._den = 1
+            return self
+        for r in rows:
+            if r[-1]:
+                break
+        else:
+            width = 0
+            for r in rows:
+                w = len(r)
+                while w and r[w - 1] == 0:
+                    w -= 1
+                width = max(width, w)
+            rows = [r[:width] for r in rows]
+        if den > 1:
+            g = math.gcd(den, *chain.from_iterable(rows))
+            if g > 1:
+                rows = [[v // g for v in r] for r in rows]
+                den //= g
+        self._num = tuple(map(tuple, rows))
+        self._den = den
+        return self
+
+    @classmethod
+    def constant(cls, value: ScalarLike):
+        n, d = as_scalar(value).as_integer_ratio()
+        return cls._raw([[n]], d)
 
     def _kronecker(self) -> tuple[int, int, int, dict]:
         """(|self|_1, rows, columns, {width: packed rows}): what the kernel
         reads of an operand, built on first use in `_kron`; the packed rows
         fill in once per slot width."""
-        rows = self._rows
+        rows = self._num
         self._kron = (sum(map(abs, chain.from_iterable(rows))), len(rows), len(rows[0]), {})
         return self._kron
 
     def _packed(self, width: int) -> tuple[int, ...]:
         """Each coefficient row packed at `width` bits per slot, cached."""
-        packed = self._kron[3][width] = tuple(map(_pack, self._rows, repeat(width)))
+        packed = self._kron[3][width] = tuple(map(_pack, self._num, repeat(width)))
         return packed
 
     @classmethod
-    def sum_of_products(cls, terms: Iterable[tuple[int, "_Poly", "_Poly"]]) -> "_Poly":
+    def sum_of_products(cls, terms: Iterable[tuple[int, "_Poly", "_Poly"]]):
         """Canonical sum of w*a*b over (w, a, b) triples with integer weights.
 
         The products are accumulated packed, over the lcm of their
@@ -171,7 +215,7 @@ class _Poly:
         for w, d, a, pa, b, pb in live:
             ap = pa.get(width) or a._packed(width)
             _accumulate(out, ap, pb.get(width) or b._packed(width), w * (den // d))
-        return cls._from_rows(_unpack(out, width, cols - 1), den)
+        return cls._raw(_unpack(out, width, cols - 1), den)
 
     def __bool__(self) -> bool:
         return bool(self._num)
@@ -186,12 +230,38 @@ class _Poly:
     def __hash__(self):
         return hash((type(self), self._num, self._den))
 
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.constant(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        a, b = self._num, other._num
+        cols = max(len(a[0]) if a else 0, len(b[0]) if b else 0)
+        out = [[v * ma for v in r] + [0] * (cols - len(r)) for r in a]
+        out += [[0] * cols for _ in range(len(b) - len(a))]
+        for row, r in zip(out, b):
+            for i, v in enumerate(r):
+                row[i] += v * mb
+        return self._raw(out, da * ma)
+
+    __radd__ = __add__
+
+    def derivative(self, order: int = 1):
+        """Partial derivative of the given order in x."""
+        if order < 0:
+            raise ValueError("derivative order must be nonnegative")
+        rows = [[math.perm(i, order) * r[i] for i in range(order, len(r))] for r in self._num]
+        return self._raw(rows, self._den)
+
     def __mul__(self, other):
         """A scalar scales the numerators; a polynomial of the same ring
         multiplies in the kernel, as a sum of one product."""
         if isinstance(other, (int, Fraction)):
-            n, d = as_scalar(other).as_integer_ratio()
-            return self._from_rows([[v * n for v in r] for r in self._rows], self._den * d)
+            n, d = other.as_integer_ratio()
+            return self._raw([[v * n for v in r] for r in self._num], self._den * d)
         if type(other) is not type(self):
             return NotImplemented
         return self.sum_of_products(((1, self, other),))
@@ -199,7 +269,7 @@ class _Poly:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._from_rows([[-v for v in r] for r in self._rows], self._den)
+        return self._raw([[-v for v in r] for r in self._num], self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -225,7 +295,7 @@ class _Poly:
             e >>= 1
             if e:
                 base = _times(base, base)
-        return self._from_rows(_unpack(result, width, (cols - 1) * exponent + 1), self._den**exponent)
+        return self._raw(_unpack(result, width, (cols - 1) * exponent + 1), self._den**exponent)
 
     def __repr__(self):
         return f"{type(self).__name__}({self!s})"
@@ -235,61 +305,25 @@ class _Poly:
 
 
 class Poly1(_Poly):
-    """Dense univariate polynomial; index i holds the coefficient of x^i."""
+    """Dense univariate polynomial: one row, index i holding the coefficient of x^i."""
 
     __slots__ = ()
     _VARS = ("x",)
 
-    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        fracs = [as_scalar(c) for c in coeffs]
-        nums, den = _common_den(fracs)
-        obj = Poly1._raw(nums, den)
-        self._num = obj._num
-        self._den = obj._den
-        self._kron = None
-
-    @classmethod
-    def _raw(cls, nums: list[int], den: int) -> "Poly1":
-        """Internal constructor from an integer array over a positive denominator."""
-        while nums and nums[-1] == 0:
-            nums.pop()
-        self = object.__new__(cls)
-        self._kron = None
-        if not nums:
-            self._num = ()
-            self._den = 1
-            return self
-        g = den
-        for v in nums:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            nums = [v // g for v in nums]
-            den //= g
-        self._num = tuple(nums)
-        self._den = den
-        return self
+    def __new__(cls, coeffs: Iterable[ScalarLike] = ()):
+        nums, den = _common_den([as_scalar(c) for c in coeffs])
+        return cls._raw([nums], den)
 
     @property
-    def _rows(self) -> tuple[tuple[int, ...]]:
-        """A Poly1 is the one-row case of the kernel."""
-        return (self._num,)
-
-    @classmethod
-    def _from_rows(cls, rows: list[list[int]], den: int) -> "Poly1":
-        return cls._raw(rows[0], den)
-
-    @classmethod
-    def constant(cls, value: ScalarLike) -> "Poly1":
-        q = as_scalar(value)
-        return cls._raw([q.numerator], q.denominator)
+    def _row(self) -> tuple[int, ...]:
+        """The one row of coefficients; the zero polynomial has no row."""
+        return self._num[0] if self._num else ()
 
     @classmethod
     def monomial(cls, power: int, coeff: ScalarLike = 1) -> "Poly1":
         """coeff * x^power."""
-        q = as_scalar(coeff)
-        return cls._raw([0] * power + [q.numerator], q.denominator)
+        n, d = as_scalar(coeff).as_integer_ratio()
+        return cls._raw([[0] * power + [n]], d)
 
     @classmethod
     def x(cls) -> "Poly1":
@@ -298,137 +332,61 @@ class Poly1(_Poly):
     @property
     def degree(self) -> int:
         """Degree, with -1 standing in for the zero polynomial."""
-        return len(self._num) - 1
+        return len(self._row) - 1
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self._den) for v in self._num)
+        return tuple(Fraction(v, self._den) for v in self._row)
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self._num):
-            return Fraction(self._num[i], self._den)
-        return Fraction(0)
-
-    def __add__(self, other) -> "Poly1":
-        if isinstance(other, (int, Fraction)):
-            other = Poly1.constant(other)
-        elif not isinstance(other, Poly1):
-            return NotImplemented
-        da, db = self._den, other._den
-        g = math.gcd(da, db)
-        ma, mb = db // g, da // g
-        n = max(len(self._num), len(other._num))
-        out = [0] * n
-        for i, v in enumerate(self._num):
-            out[i] = v * ma
-        for i, v in enumerate(other._num):
-            out[i] += v * mb
-        return Poly1._raw(out, da * ma)
-
-    __radd__ = __add__
+        row = self._row
+        return Fraction(row[i], self._den) if 0 <= i < len(row) else Fraction(0)
 
     def evaluate(self, x: ScalarLike) -> Fraction:
         """Exact Horner evaluation."""
         xq = as_scalar(x)
         acc = 0
-        for v in reversed(self._num):
+        for v in reversed(self._row):
             acc = acc * xq + v
         return Fraction(acc, self._den) if isinstance(acc, int) else acc / self._den
 
-    def derivative(self, order: int = 1) -> "Poly1":
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        nums = list(self._num)
-        for _ in range(order):
-            nums = [i * v for i, v in enumerate(nums)][1:]
-        return Poly1._raw(nums, self._den)
-
     def as_poly2_in_x(self) -> "Poly2":
-        return Poly2._raw([[v] for v in self._num], self._den)
+        """This polynomial in the bivariate ring, as a view that shares its
+        rows, denominator and packed-row cache."""
+        view = object.__new__(Poly2)
+        view._num, view._den = self._num, self._den
+        view._kron = self._kron or (self._kronecker() if self._num else None)
+        return view
 
     def as_poly2_in_y(self) -> "Poly2":
-        if not self._num:
-            return Poly2._raw([], 1)
-        return Poly2._raw([list(self._num)], self._den)
+        return Poly2._raw([[v] for v in self._row], self._den)
 
     def at_xy(self) -> "Poly2":
         """Substitute the product xy for x: coefficient i lands on grid entry (i, i)."""
-        size = len(self._num)
+        size = len(self._row)
         rows = [[0] * size for _ in range(size)]
-        for i, v in enumerate(self._num):
+        for i, v in enumerate(self._row):
             rows[i][i] = v
         return Poly2._raw(rows, self._den)
 
     def monomials(self) -> list[tuple[tuple[int], Fraction]]:
         """Nonzero terms as ((i,), coefficient), lowest degree first."""
-        return [((i,), Fraction(v, self._den)) for i, v in enumerate(self._num) if v]
+        return [((i,), Fraction(v, self._den)) for i, v in enumerate(self._row) if v]
 
 
 class Poly2(_Poly):
-    """Dense bivariate polynomial; grid entry (i, j) holds the coefficient of x^i y^j."""
+    """Dense bivariate polynomial; `Poly2(grid)` reads grid[i][j] as the
+    coefficient of x^i y^j, and stores its transpose, one row per power of y."""
 
     __slots__ = ()
     _VARS = ("x", "y")
 
-    def __init__(self, grid: Iterable[Iterable[ScalarLike]] = ()):
-        rows = [[as_scalar(c) for c in row] for row in grid]
-        width = max((len(r) for r in rows), default=0)
-        flat: list[Fraction] = []
-        for r in rows:
-            flat.extend(r + [Fraction(0)] * (width - len(r)))
-        nums, den = _common_den(flat)
-        grid = [nums[i * width : (i + 1) * width] for i in range(len(rows))]
-        obj = Poly2._raw(grid, den)
-        self._num = obj._num
-        self._den = obj._den
-        self._kron = None
-
-    @classmethod
-    def _raw(cls, rows: list[list[int]], den: int) -> "Poly2":
-        """Internal constructor from an integer grid over a positive denominator.
-
-        Every row must have the same length: callers pass rectangular grids,
-        and the trim below relies on it.
-        """
-        while rows and not any(rows[-1]):
-            rows.pop()
-        self = object.__new__(cls)
-        self._kron = None
-        if not rows:
-            self._num = ()
-            self._den = 1
-            return self
-        if not any(r[-1] for r in rows):
-            width = 0
-            for r in rows:
-                w = len(r)
-                while w and r[w - 1] == 0:
-                    w -= 1
-                width = max(width, w)
-            rows = [r[:width] for r in rows]
-        if den != 1:
-            g = den
-            for r in rows:
-                g = math.gcd(g, *r)
-                if g == 1:
-                    break
-            if g > 1:
-                rows = [[v // g for v in r] for r in rows]
-                den //= g
-        self._num = tuple(map(tuple, rows))
-        self._den = den
-        return self
-
-    @property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        return self._num
-
-    _from_rows = _raw
-
-    @classmethod
-    def constant(cls, value: ScalarLike) -> "Poly2":
-        q = as_scalar(value)
-        return cls._raw([[q.numerator]], q.denominator)
+    def __new__(cls, grid: Iterable[Iterable[ScalarLike]] = ()):
+        cols = [[as_scalar(c) for c in col] for col in grid]
+        height = max(map(len, cols), default=0)
+        nums, den = _common_den([col[j] if j < len(col) else 0 for j in range(height) for col in cols])
+        width = len(cols)
+        return cls._raw([nums[j * width : (j + 1) * width] for j in range(height)], den)
 
     @classmethod
     def x(cls) -> "Poly2":
@@ -456,40 +414,16 @@ class Poly2(_Poly):
         """Total degree, the largest i + j over nonzero entries; -1 for the
         zero polynomial."""
         best = -1
-        for i, row in enumerate(self._num):
-            for j, v in enumerate(row):
+        for j, row in enumerate(self._num):
+            for i, v in enumerate(row):
                 if v and i + j > best:
                     best = i + j
         return best
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        if 0 <= i < len(self._num) and 0 <= j < len(self._num[i]):
-            return Fraction(self._num[i][j], self._den)
+        if 0 <= j < len(self._num) and 0 <= i < len(self._num[j]):
+            return Fraction(self._num[j][i], self._den)
         return Fraction(0)
-
-    def __add__(self, other) -> "Poly2":
-        if isinstance(other, (int, Fraction)):
-            other = Poly2.constant(other)
-        elif not isinstance(other, Poly2):
-            return NotImplemented
-        da, db = self._den, other._den
-        g = math.gcd(da, db)
-        ma, mb = db // g, da // g
-        rows = max(len(self._num), len(other._num))
-        cols = max(
-            len(self._num[0]) if self._num else 0,
-            len(other._num[0]) if other._num else 0,
-        )
-        out = [[0] * cols for _ in range(rows)]
-        for i, row in enumerate(self._num):
-            for j, v in enumerate(row):
-                out[i][j] = v * ma
-        for i, row in enumerate(other._num):
-            for j, v in enumerate(row):
-                out[i][j] += v * mb
-        return Poly2._raw(out, da * ma)
-
-    __radd__ = __add__
 
     def evaluate(self, x: ScalarLike, y: ScalarLike) -> Fraction:
         xq, yq = as_scalar(x), as_scalar(y)
@@ -497,26 +431,15 @@ class Poly2(_Poly):
         for row in reversed(self._num):
             racc = 0
             for v in reversed(row):
-                racc = racc * yq + v
-            acc = acc * xq + racc
+                racc = racc * xq + v
+            acc = acc * yq + racc
         return acc / self._den
-
-    def derivative(self, order: int = 1) -> "Poly2":
-        """Partial derivative of the given order in x."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        rows = [list(r) for r in self._num]
-        for _ in range(order):
-            rows = [[i * v for v in row] for i, row in enumerate(rows)][1:]
-        return Poly2._raw(rows, self._den)
 
     def monomials(self) -> list[tuple[tuple[int, int], Fraction]]:
         """Nonzero terms as ((i, j), coefficient) in graded lexicographic order."""
-        terms = []
-        for i, row in enumerate(self._num):
-            for j, v in enumerate(row):
-                if v:
-                    terms.append(((i, j), Fraction(v, self._den)))
+        terms = [
+            ((i, j), Fraction(v, self._den)) for j, row in enumerate(self._num) for i, v in enumerate(row) if v
+        ]
         terms.sort(key=lambda t: (t[0][0] + t[0][1], t[0]))
         return terms
 
@@ -546,6 +469,6 @@ def _format_terms(terms, names) -> str:
     return out
 
 
-_POLY1_X = Poly1._raw([0, 1], 1)
-_POLY2_X = Poly2._raw([[0], [1]], 1)
-_POLY2_Y = Poly2._raw([[0, 1]], 1)
+_POLY1_X = Poly1._raw([[0, 1]], 1)
+_POLY2_X = _POLY1_X.as_poly2_in_x()
+_POLY2_Y = Poly2._raw([[0], [1]], 1)

@@ -6,13 +6,13 @@ import tracemalloc
 
 import pytest
 
-from bernkit.bernstein import bernstein_basis
+from bernkit.bernstein import basis_in, bernstein_basis
 from bernkit.campaign import VerifyConfig, emit_report, run_verify, write_report
 from bernkit.egf import egf_bernstein, egf_bernstein_closed
 from bernkit.identities import _basis_value_table
 
 SMALL = VerifyConfig(max_degree=3, egf_order=6)
-MEMOISED = (bernstein_basis, egf_bernstein, egf_bernstein_closed, _basis_value_table)
+MEMOISED = (bernstein_basis, basis_in, egf_bernstein, egf_bernstein_closed, _basis_value_table)
 # Largest traced allocation peak allowed while a JSON report is written;
 # the default campaign's report alone is more than twice this size.
 WRITE_BUDGET = 256 * 1024

@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernkit.bernstein import bernstein_basis
-from bernkit.campaign import ALL_IDS, VerifyConfig, emit_report, run_verify
+from bernkit.campaign import ALL_IDS, VerifyConfig, emit_report, fe_params, run_verify
+from bernkit.cli import main
 from bernkit.egf import (
+    _FE_CATALOG,
     FE_IDS,
     TruncatedEGF,
     check_closed_form,
@@ -21,6 +23,7 @@ from bernkit.egf import (
     egf_exp_affine,
     egf_linear_combination,
     fe_param_names,
+    fe_vacuous,
 )
 from bernkit.polynomials import Poly1, Poly2
 
@@ -43,34 +46,6 @@ egf_pair_st = st.integers(min_value=0, max_value=5).flatmap(
 egf_triple_st = st.integers(min_value=0, max_value=4).flatmap(
     lambda n: st.tuples(egf_of_order(n), egf_of_order(n), egf_of_order(n))
 )
-
-
-def x_only_twins(order):
-    """One x-only series twice: with Poly1 coefficients, and with the same
-    coefficients written as Poly2 columns."""
-    return st.lists(
-        st.lists(fractions_st, max_size=3), min_size=order + 1, max_size=order + 1
-    ).map(
-        lambda css: (
-            TruncatedEGF(order, [Poly1(cs) for cs in css]),
-            TruncatedEGF(order, [Poly2([[c] for c in cs]) for cs in css]),
-        )
-    )
-
-
-y_poly_st = poly2_st.map(lambda p: p + Y)
-mixed_ring_st = st.integers(min_value=0, max_value=4).flatmap(
-    lambda n: st.tuples(
-        x_only_twins(n),
-        x_only_twins(n),
-        egf_of_order(n).map(lambda e: e + egf_exp_affine(Y, n)),
-        y_poly_st,
-    )
-)
-
-
-def same_coeffs(a, b):
-    assert [(c._num, c._den) for c in a.coeffs] == [(c._num, c._den) for c in b.coeffs]
 
 
 class TestConstructors:
@@ -202,75 +177,56 @@ class TestRingOperations:
         assert (a * b).truncate(m) == a.truncate(m) * b.truncate(m)
 
 
-class TestStorageRings:
-    """x-only series keep Poly1 coefficients; a y-bearing operand promotes
-    the result to Poly2, with the same coefficients as the all-Poly2 ring."""
+class TestOneRing:
+    """Every series stores Poly2 coefficients; a Poly1 operand enters as a
+    view of its rows."""
 
-    @given(mixed_ring_st, fractions_st)
-    def test_every_operation_matches_the_bivariate_ring(self, operands, c):
-        (a, a2), (b, b2), e, s = operands
-        n = a.order
-        assert a._ring is Poly1 and a2._ring is Poly2 and e._ring is Poly2
-        x_only = [
-            (a * b, a2 * b2),
-            (a + b, a2 + b2),
-            (a - b, a2 - b2),
-            (-a, -a2),
-            (a.scale(c), a2.scale(c)),
-            (a.scale(b._coeffs[0]), a2.scale(b2._coeffs[0])),
-            (a.substitute_t(c), a2.substitute_t(c)),
-            (a.substitute_t(Poly1.x()), a2.substitute_t(X)),
-            (a.shift_t(2), a2.shift_t(2)),
-            (a.diff_x(1), a2.diff_x(1)),
-            (a.diff_t(n), a2.diff_t(n)),
-            (
-                egf_linear_combination(n, [(c, a), (Poly1([1, c]), b)]),
-                egf_linear_combination(n, [(c, a2), (Poly2([[1], [c]]), b2)]),
-            ),
-            (egf_exp_affine(Poly1([c, 1]), n), egf_exp_affine(Poly2([[c], [1]]), n)),
+    def test_every_stored_coefficient_is_a_poly2(self):
+        p = Poly1([Fraction(1, 2), -1])
+        a, y = egf_bernstein(2, 5), egf_bernstein(1, 5, var="y")
+        built = [
+            a,
+            y,
+            egf_bernstein_closed(2, 5),
+            egf_bernstein_closed(2, 5, "y"),
+            egf_exp_affine(1, 5),
+            egf_exp_affine(p, 5),
+            TruncatedEGF(2, [p, 3, X * Y]),
+            TruncatedEGF.zero(3),
+            a * y,
+            a + y,
+            a - y,
+            -a,
+            a.scale(p),
+            a.scale(Fraction(2, 3)),
+            a.substitute_t(p),
+            a.substitute_t(2),
+            a.shift_t(2),
+            a.diff_x(1),
+            a.diff_t(2),
+            a.truncate(3),
+            egf_linear_combination(5, [(p, a), (2, y)]),
         ]
-        for got, want in x_only:
-            assert got._ring is Poly1
-            same_coeffs(got, want)
-        promoted = [
-            (a * e, a2 * e),
-            (e * a, e * a2),
-            (a + e, a2 + e),
-            (e - a, e - a2),
-            (a.scale(s), a2.scale(s)),
-            (a.substitute_t(s), a2.substitute_t(s)),
-            (a.substitute_t(Y), a2.substitute_t(Y)),
-            (
-                egf_linear_combination(n, [(s, a), (1, b)]),
-                egf_linear_combination(n, [(s, a2), (1, b2)]),
-            ),
-            (
-                egf_linear_combination(n, [(c, a), (1, e)]),
-                egf_linear_combination(n, [(c, a2), (1, e)]),
-            ),
-        ]
-        for got, want in promoted:
-            assert got._ring is Poly2
-            same_coeffs(got, want)
-        assert egf_equal(a, e) == egf_equal(a2, e)
-        assert egf_equal(a * e, a2 * e) == (True, None)
+        for series in built:
+            assert all(type(c) is Poly2 for c in series.coeffs), series
+            assert all(type(series.coefficient(n)) is Poly2 for n in range(series.order + 1))
+        _, diff = egf_equal(a, a.scale(p))[1]
+        assert type(diff) is Poly2
 
-    @given(x_only_twins(3), x_only_twins(3))
-    def test_equal_series_in_different_rings_compare_and_hash_equal(self, pair, other):
-        a, a2 = pair
-        assert a == a2 and a2 == a
-        assert hash(a) == hash(a2)
-        assert a.coeffs == a2.coeffs
-        b, b2 = other
-        assert (a == b2) == (a2 == b) == (a.coeffs == b.coeffs)
-        assert egf_equal(a, b2) == egf_equal(a2, b)
+    def test_bernstein_series_shares_the_cached_basis_rows(self):
+        for n, c in enumerate(egf_bernstein(2, 6).coeffs):
+            assert c._num is bernstein_basis(n, 2)._num
+        assert egf_bernstein(2, 6) == TruncatedEGF(6, [bernstein_basis(n, 2) for n in range(7)])
 
-    def test_bernstein_series_stores_the_cached_basis(self):
-        series = egf_bernstein(2, 6)
-        assert all(c is bernstein_basis(n, 2) for n, c in enumerate(series._coeffs))
-        assert all(isinstance(c, Poly2) for c in series.coeffs)
-        assert isinstance(series.coefficient(3), Poly2)
-        assert egf_bernstein(2, 6, var="y")._ring is Poly2
+    @given(egf_of_order(3), st.lists(fractions_st, max_size=3))
+    def test_poly1_operands_act_as_their_poly2_embedding(self, a, cs):
+        p = Poly1(cs)
+        q = Poly2([[c] for c in cs])
+        assert a.scale(p) == a.scale(q)
+        assert a.substitute_t(p) == a.substitute_t(q)
+        assert egf_linear_combination(3, [(p, a)]) == egf_linear_combination(3, [(q, a)])
+        assert TruncatedEGF(3, [p] * 4) == TruncatedEGF(3, [q] * 4)
+        assert hash(TruncatedEGF(3, [p] * 4)) == hash(TruncatedEGF(3, [q] * 4))
 
 
 class TestSubstituteAndShift:
@@ -408,6 +364,63 @@ class TestFunctionalEquationCatalog:
     def test_diffx_shift_beyond_order_rejected(self):
         with pytest.raises(ValueError):
             check_functional_equation("FE-DIFFX", {"k": 0, "l": 7}, 6)
+
+    @pytest.mark.parametrize(
+        "fe_id,params,order",
+        [
+            ("FE-PROD", {"k1": 6, "k2": 5}, 10),
+            ("FE-PROD", {"k1": 14, "k2": 11}, 24),
+            ("FE-XY", {"k": 6}, 10),
+            ("FE-XY", {"k": 13}, 24),
+            ("FE-G1", {"k": 11}, 10),
+            ("FE-DIFFX", {"k": 11, "l": 0}, 10),
+            ("FE-DIFFT", {"k": 11, "v": 1}, 10),
+        ],
+    )
+    def test_tuples_vanishing_through_the_order_are_rejected(self, fe_id, params, order):
+        # Both sides are zero through the truncation: the check, mutated or
+        # not, would pass whatever it compared.
+        lhs, rhs = _FE_CATALOG[fe_id][1](order, **params)
+        assert lhs == rhs.scale(2) == TruncatedEGF.zero(rhs.order)
+        assert fe_vacuous(fe_id, params, order)
+        for mutate in (False, True):
+            with pytest.raises(ValueError, match="vacuous"):
+                check_functional_equation(fe_id, params, order, mutate=mutate)
+
+    @pytest.mark.parametrize("fe_id", FE_IDS)
+    def test_every_kept_tuple_has_a_nonzero_right_side(self, fe_id):
+        order = 6
+        for params in fe_params(fe_id, 8):
+            if fe_vacuous(fe_id, params, order):
+                continue
+            _, rhs = _FE_CATALOG[fe_id][1](order, **params)
+            assert rhs != TruncatedEGF.zero(rhs.order), (fe_id, params)
+            assert not check_functional_equation(fe_id, params, order, mutate=True).passed
+
+    @pytest.mark.parametrize(
+        "max_degree,order,skipped", [(10, 10, {"FE-PROD": 55, "FE-XY": 5}), (14, 24, {"FE-PROD": 10, "FE-XY": 2})]
+    )
+    def test_campaign_skips_exactly_the_vanishing_tuples(self, max_degree, order, skipped):
+        config = VerifyConfig(max_degree=max_degree, egf_order=order, identities=FE_IDS)
+        ran = {}
+        for r in run_verify(config).results:
+            ran.setdefault(r["id"], []).append(r["params"])
+        for fe_id in FE_IDS:
+            every = fe_params(fe_id, max_degree)
+            kept = [p for p in every if not fe_vacuous(fe_id, p, order)]
+            assert sorted(sorted(p.items()) for p in ran[fe_id]) == sorted(sorted(p.items()) for p in kept)
+            assert len(every) - len(kept) == skipped.get(fe_id, 0), fe_id
+
+    @pytest.mark.parametrize("argv", [["--max-degree", "14"], ["--max-degree", "10", "--egf-order", "10"]])
+    @pytest.mark.parametrize("fe_id", ["FE-PROD", "FE-XY"])
+    def test_no_mutated_check_passes_below_twice_the_degree(self, capsys, argv, fe_id):
+        # An order below 2 * max-degree used to report those tuples as PASS
+        # under --mutate.
+        code = main([*argv, "--identities", fe_id, "--mutate", fe_id, "--format", "text"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"FAIL {fe_id}" in out
+        assert f"PASS {fe_id}" not in out
 
     def test_mutation_flips_each_equation(self):
         for fe_id in FE_IDS:

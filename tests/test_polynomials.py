@@ -40,8 +40,8 @@ def raw_grid_st(max_width=5):
 
 
 def canonical(cells):
-    """(numerators, denominator) of the canonical form of a {(i, j): Fraction}
-    grid, from Fractions alone; a Poly1 is the one row i = 0."""
+    """(numerators, denominator) of the canonical form of a {(row, column):
+    Fraction} grid, from Fractions alone; a Poly1 is the one row 0."""
     cells = {key: f for key, f in cells.items() if f}
     if not cells:
         return (), 1
@@ -60,13 +60,14 @@ def reference_canonical(rows, den):
 
 
 def rows_of(p):
-    """The coefficient rows of p: a Poly1 is one row, a Poly2 one row per power of x."""
-    return (p._num,) if isinstance(p, Poly1) else p._num
+    """The coefficient rows of p, one per power of y, each packed along x; a
+    Poly1 is one row, and zero has none."""
+    return p._num
 
 
 def numerators(p):
     """(rows, denominator) of p, in the shape `canonical` returns."""
-    return (rows_of(p) if p._num else ()), p._den
+    return rows_of(p), p._den
 
 
 def schoolbook(terms):
@@ -204,14 +205,14 @@ class TestPoly1Arithmetic:
         x, p = Poly1([0, 1]), Poly1([1, 1])
         terms = [(1, x, x), (0, x, x), (2, p, x)]
         assert Poly1.sum_of_products(terms) == Poly1([0, 2, 3])
-        assert sorted(packs) == sorted([(x._num, 64), (p._num, 64)])
+        assert sorted(packs) == sorted([(x._num[0], 64), (p._num[0], 64)])
         assert Poly1.sum_of_products(terms) == Poly1([0, 2, 3])
         assert x * p == Poly1([0, 1, 1])
         assert len(packs) == 2
         # A bound of 2^64 or more needs 128-bit slots: each operand packs once more.
         big = [(2**64, x, x), (1, p, x)]
         assert Poly1.sum_of_products(big) == Poly1([0, 1, 2**64 + 1])
-        assert sorted(packs[2:]) == sorted([(x._num, 128), (p._num, 128)])
+        assert sorted(packs[2:]) == sorted([(x._num[0], 128), (p._num[0], 128)])
 
     def test_constant_operands_match_the_schoolbook_sum(self):
         half, p = Poly1([Fraction(1, 2)]), Poly1([Fraction(1, 3), 0, -2])
@@ -225,7 +226,7 @@ class TestPoly1Arithmetic:
         for c in constants:
             for got in (p * c, c * p):
                 assert numerators(got) == schoolbook([(1, p, c)])
-        assert sorted(packs) == sorted([(p._num, 64)] + [(c._num, 64) for c in constants])
+        assert sorted(packs) == sorted([(p._num[0], 64)] + [(c._num[0], 64) for c in constants])
         power = p**1
         assert (power._num, power._den) == (p._num, p._den)
         assert len(packs) == 1 + len(constants)
@@ -249,6 +250,39 @@ class TestPoly2:
         assert Poly2.coerce(p, "y") == Poly2([[1, 2]])
         with pytest.raises(ValueError, match="unknown variable 'w'"):
             Poly2.coerce(Poly1([0, 1]), "w")
+
+    def test_coerce_in_x_is_a_view_that_packs_nothing_new(self, monkeypatch):
+        p, q = Poly1([Fraction(1, 2), 0, -3]), Poly2([[1, 2], [0, 1]])
+        assert p * p == Poly1([Fraction(1, 4), 0, -3, 0, 9])  # packs p's row
+        view = Poly2.coerce(p)
+        assert view._num is p._num and view._den == p._den
+        packs = count_packs(monkeypatch)
+        assert view * view == Poly2([[Fraction(1, 4)], [0], [-3], [0], [9]])
+        assert packs == []
+        assert view * q == Poly2([[Fraction(1, 2), 1], [0, Fraction(1, 2)], [-3, -6], [0, -3]])
+        assert sorted(packs) == sorted((row, 64) for row in q._num)
+
+    @given(st.lists(st.lists(fractions_st, max_size=4), max_size=4), fractions_st, fractions_st)
+    def test_public_convention_matches_a_fraction_reference(self, grid, x, y):
+        self.check_convention(grid, x, y)
+
+    @pytest.mark.parametrize("grid", [[[1, 2, 3], [4], [0, 0, 5]], [[0, 7], [0, 0, 0, Fraction(1, 2)]]])
+    def test_public_convention_on_non_symmetric_grids(self, grid):
+        self.check_convention(grid, Fraction(2, 3), Fraction(-5, 7))
+
+    @staticmethod
+    def check_convention(grid, x, y):
+        """Poly2(grid) against grid[i][j] read as the coefficient of x^i y^j."""
+        cells = {(i, j): Fraction(c) for i, row in enumerate(grid) for j, c in enumerate(row) if c}
+        p = Poly2(grid)
+        span = range(6)
+        assert all(p.coefficient(i, j) == cells.get((i, j), 0) for i in span for j in span)
+        assert p.evaluate(x, y) == sum(c * x**i * y**j for (i, j), c in cells.items())
+        assert p.monomials() == sorted(cells.items(), key=lambda t: (t[0][0] + t[0][1], t[0]))
+        assert p.degree == max((i + j for i, j in cells), default=-1)
+        dx = {(i - 1, j): i * c for (i, j), c in cells.items() if i}
+        d = p.derivative()
+        assert all(d.coefficient(i, j) == dx.get((i, j), 0) for i in span for j in span)
 
     def test_grid_indexing(self):
         p = Poly2([[1, 2], [3, 0]])  # 1 + 2y + 3x
@@ -335,8 +369,8 @@ class TestConvolutionKernels:
 
     def test_conv1_known_product(self):
         # (1 + 2x)(3 + x) = 3 + 7x + 2x^2
-        assert (Poly1([1, 2]) * Poly1([3, 1]))._num == (3, 7, 2)
-        assert Poly1.sum_of_products([(1, Poly1([1, 2]), Poly1([3, 1]))])._num == (3, 7, 2)
+        assert (Poly1([1, 2]) * Poly1([3, 1]))._num == ((3, 7, 2),)
+        assert Poly1.sum_of_products([(1, Poly1([1, 2]), Poly1([3, 1]))])._num == ((3, 7, 2),)
 
     def test_conv1_empty_operand(self):
         for a, b in ((Poly1(), Poly1([1, 2])), (Poly1([1]), Poly1())):
