@@ -27,8 +27,8 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Bound on the memoised basis polynomials.  One default campaign builds 875
-# of them, `--max-degree 14` 975, `--max-degree 18 --egf-order 32` 1683
+# Bound on the memoised basis polynomials.  One default campaign builds 680
+# of them, `--max-degree 14` 730, `--max-degree 18 --egf-order 32` 1260
 # and the `suite-oracle` workload of `perfbench` 381; 2048 holds each of
 # these runs without an eviction.
 BASIS_CACHE_SIZE = 2048
@@ -54,10 +54,10 @@ def bernstein_basis(n: int, k: int) -> Poly1:
 
 # Bound on the memoised embeddings, read by the EGF series and the
 # two-variable suite checks.  A campaign reads one per distinct (var, n, k),
-# zero polynomials at k < 0 or k > n included: 1150 at the defaults, 1303 at
-# `--max-degree 14` and 2247 at `--max-degree 18 --egf-order 32`; 4096 holds
-# each of these runs without an eviction.
-EMBEDDING_CACHE_SIZE = 4096
+# zero polynomials at k > n included (355 of the 900 at the defaults): 900
+# at the defaults, 953 at `--max-degree 14` and 1653 at `--max-degree 18
+# --egf-order 32`; 2048 holds each of these runs without an eviction.
+EMBEDDING_CACHE_SIZE = 2048
 
 
 @functools.lru_cache(maxsize=EMBEDDING_CACHE_SIZE)

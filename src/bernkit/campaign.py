@@ -10,7 +10,6 @@ between runs except for the wall-time field.
 
 from __future__ import annotations
 
-import io
 import json
 import random
 import time
@@ -21,7 +20,7 @@ from typing import Iterator, Optional, TextIO
 
 from . import __version__
 from .bernstein import BernsteinForm, bernstein_basis, eval_de_casteljau, to_bernstein, to_monomial
-from .egf import FE_IDS, check_closed_form, check_functional_equation, fe_param_names, fe_vacuous
+from .egf import FE_IDS, check_functional_equation, fe_param_names, fe_vacuous
 from .identities import GRID_MARGIN, SUITE_IDS, mutation_slots, run_identity, suite_params
 from .polynomials import scalar_str
 from .report import IdentityReport, Witness
@@ -127,7 +126,7 @@ class CampaignReport:
 
 
 def fe_params(fe_id: str, max_index: int) -> list[dict]:
-    """Index tuples for one functional equation, each index 0..max_index."""
+    """Index tuples for one catalog entry, each index 0..max_index."""
     tuples: list[dict] = [{}]
     for name in fe_param_names(fe_id):
         tuples = [{**t, name: i} for t in tuples for i in range(max_index + 1)]
@@ -166,13 +165,6 @@ def _run_suite(identity_id: str, config: VerifyConfig, mutated: bool) -> list[di
         rep = run_identity(identity_id, params, mutate=slot)
         out.append(_from_report(rep, "identity"))
     return out
-
-
-def _run_closed_form(check_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
-    return [
-        _from_report(check_closed_form(k, config.egf_order, mutate=mutated), "egf")
-        for k in range(config.max_degree + 1)
-    ]
 
 
 def _run_functional_equation(fe_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
@@ -279,8 +271,7 @@ _RUNNERS = {
     check_id: runner
     for ids, runner in (
         (SUITE_IDS, _run_suite),
-        (("egf-closed-form",), _run_closed_form),
-        (FE_IDS, _run_functional_equation),
+        (("egf-closed-form", *FE_IDS), _run_functional_equation),
         (SERIES_IDS, lambda *args: _run_series(*args)),
         (("LAPLACE",), lambda *args: _run_laplace(*args)),
         (RANDOM_IDS, lambda *args: _run_random_checks(*args)),
@@ -340,10 +331,3 @@ def write_report(report: CampaignReport, out: TextIO, format: Optional[str] = No
             out.write(line + "\n")
     else:
         raise ValueError(f"unknown format: {fmt!r}")
-
-
-def emit_report(report: CampaignReport, format: Optional[str] = None) -> str:
-    """The report `write_report` writes, as one string."""
-    buf = io.StringIO()
-    write_report(report, buf, format)
-    return buf.getvalue()

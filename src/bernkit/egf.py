@@ -9,14 +9,17 @@ polynomial identity, one per degree.  Coefficients in x alone are one
 packed row each, so the ring costs what a univariate one would, and a
 `Poly1` operand enters as a view of its rows (`Poly2.coerce`).
 
-The catalog in `check_functional_equation` carries the equations this
-library verifies mechanically; each one is checked as exact coefficient
-equality through the truncation order, which certifies the identity for
-every degree up to that order.
+The catalog in `check_functional_equation` carries every series check
+this library verifies mechanically: the closed form G_k = (xt)^k
+e^{(1-x)t}/k! first, then the functional equations built from it.  One
+path decides each entry, the vacuity rule (`fe_vacuous`) included, by exact
+coefficient equality through the truncation order, which certifies the
+identity for every degree up to that order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -24,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .bernstein import basis_in, bernstein_basis, binomial
 from .polynomials import Poly1, Poly2, ScalarLike, as_scalar
-from .report import METHOD_SYMBOLIC, IdentityReport, Witness, scalar_str
+from .report import METHOD_SYMBOLIC, IdentityReport, compare_poly
 
 CoeffLike = Union[ScalarLike, Poly1, Poly2]
 
@@ -167,13 +170,11 @@ class TruncatedEGF:
         return f"TruncatedEGF(order={self.order}, [{shown}{tail}])"
 
 
-# Bounds on the memoised basis series.  A campaign builds one definitional
-# series per (k, order, variable) it reads: 211 at the defaults, 367 at
-# `--max-degree 14` and 581 at `--max-degree 18 --egf-order 32`; and one
-# closed form per k <= max-degree: 11, 15 and 19.  Neither bound evicts in
-# these runs.
+# Bound on the memoised basis series.  A campaign builds one definitional
+# series per (k, order, variable) it reads: 146 at the defaults, 248 at
+# `--max-degree 14` and 392 at `--max-degree 18 --egf-order 32`; 1024 evicts
+# in none of these runs.
 EGF_CACHE_SIZE = 1024
-CLOSED_FORM_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=EGF_CACHE_SIZE)
@@ -183,14 +184,14 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
 
     Built from the definition (one monomial expansion per degree); the
     closed form t^k var^k e^{(1-var)t} / k! is constructed separately by
-    `egf_bernstein_closed`, and their agreement is itself a verified check.
+    `egf_bernstein_closed`, and their agreement is the catalog's first
+    entry, `egf-closed-form`.
     The coefficients are the memoised embeddings `basis_in(var, n, k)`,
     which reject any variable name but x and y.
     """
     return TruncatedEGF._of(order, [basis_in(var, n, k) for n in range(order + 1)])
 
 
-@functools.lru_cache(maxsize=CLOSED_FORM_CACHE_SIZE)
 def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
     """Closed form t^k var^k e^{(1-var)t} / k! as an order-N truncation."""
     if var not in ("x", "y"):
@@ -244,7 +245,7 @@ def egf_equal(a: TruncatedEGF, b: TruncatedEGF) -> tuple[bool, Optional[tuple[in
     return True, None
 
 
-# --- functional-equation catalog -------------------------------------------
+# --- the catalog: the closed form, then the functional equations -----------
 
 _X = Poly2.x()
 _Y = Poly2.y()
@@ -255,31 +256,20 @@ def _monomial_scale(k: int, var: Poly2) -> Poly2:
     return var**k * Fraction(1, math.factorial(k))
 
 
-def _fe_sum(order: int):
-    lhs = egf_linear_combination(order, [(1, egf_bernstein(k, order)) for k in range(order + 1)])
-    return lhs, egf_exp_affine(1, order)
+def _closed_form(order: int, k: int):
+    return egf_bernstein(k, order), egf_bernstein_closed(k, order)
 
 
-def _fe_alt(order: int):
-    terms = [((-1) ** k, egf_bernstein(k, order)) for k in range(order + 1)]
-    return egf_linear_combination(order, terms), egf_exp_affine(1 - 2 * _X, order)
+def _fe_sum(sign: int, exponent: CoeffLike, order: int):
+    """sum_k sign^k G_k = e^{exponent t}: FE-SUM and FE-ALT."""
+    terms = [(sign**k, egf_bernstein(k, order)) for k in range(order + 1)]
+    return egf_linear_combination(order, terms), egf_exp_affine(exponent, order)
 
 
-def _fe_g1(order: int, k: int):
-    lhs = egf_bernstein(k, order) * egf_exp_affine(_X, order)
-    rhs = egf_exp_affine(1, order).shift_t(k).scale(_monomial_scale(k, _X))
-    return lhs, rhs
-
-
-def _fe_g2(order: int, k: int):
-    lhs = egf_bernstein(k, order) * egf_exp_affine(-1, order)
-    rhs = egf_exp_affine(-_X, order).shift_t(k).scale(_monomial_scale(k, _X))
-    return lhs, rhs
-
-
-def _fe_g3(order: int, k: int):
-    lhs = egf_bernstein(k, order) * egf_exp_affine(_X - 1, order)
-    rhs = egf_exp_affine(0, order).shift_t(k).scale(_monomial_scale(k, _X))
+def _fe_g(left: CoeffLike, right: CoeffLike, order: int, k: int):
+    """G_k e^{left t} = (xt)^k/k! e^{right t}: FE-G1, FE-G2 and FE-G3."""
+    lhs = egf_bernstein(k, order) * egf_exp_affine(left, order)
+    rhs = egf_exp_affine(right, order).shift_t(k).scale(_monomial_scale(k, _X))
     return lhs, rhs
 
 
@@ -296,14 +286,16 @@ def _fe_mono(order: int, l: int):
 
 
 def _fe_diffx(order: int, k: int, l: int):
+    # G_{k-j} is zero for j > k, so those terms are left out.
     lhs = egf_bernstein(k, order).diff_x(l)
-    terms = [((-1) ** (l - j) * math.comb(l, j), egf_bernstein(k - j, order)) for j in range(l + 1)]
+    terms = [((-1) ** (l - j) * math.comb(l, j), egf_bernstein(k - j, order)) for j in range(min(k, l) + 1)]
     return lhs, egf_linear_combination(order, terms).shift_t(l)
 
 
 def _fe_difft(order: int, k: int, v: int):
+    # As in FE-DIFFX, the zero series G_{k-j} at j > k are left out.
     lhs = egf_bernstein(k, order).diff_t(v)
-    terms = [(bernstein_basis(v, j), egf_bernstein(k - j, order - v)) for j in range(v + 1)]
+    terms = [(bernstein_basis(v, j), egf_bernstein(k - j, order - v)) for j in range(min(k, v) + 1)]
     return lhs, egf_linear_combination(order - v, terms)
 
 
@@ -322,39 +314,45 @@ def _fe_xy(order: int, k: int):
     return lhs, rhs
 
 
+def _max_index(**params: int) -> int:
+    return max(params.values(), default=0)
+
+
+# id -> (parameter names, builder(order, **params) -> (lhs, rhs), lead), where
+# lead(**params) is the lowest t-order at which the two sides are nonzero.
 _FE_CATALOG = {
-    "FE-SUM": ((), _fe_sum),
-    "FE-ALT": ((), _fe_alt),
-    "FE-G1": (("k",), _fe_g1),
-    "FE-G2": (("k",), _fe_g2),
-    "FE-G3": (("k",), _fe_g3),
-    "FE-SUB": (("j",), _fe_sub),
-    "FE-MONO": (("l",), _fe_mono),
-    "FE-DIFFX": (("k", "l"), _fe_diffx),
-    "FE-DIFFT": (("k", "v"), _fe_difft),
-    "FE-PROD": (("k1", "k2"), _fe_prod),
-    "FE-XY": (("k",), _fe_xy),
+    "egf-closed-form": (("k",), _closed_form, _max_index),
+    "FE-SUM": ((), functools.partial(_fe_sum, 1, 1), _max_index),
+    "FE-ALT": ((), functools.partial(_fe_sum, -1, 1 - 2 * _X), _max_index),
+    "FE-G1": (("k",), functools.partial(_fe_g, _X, 1), _max_index),
+    "FE-G2": (("k",), functools.partial(_fe_g, -1, -_X), _max_index),
+    "FE-G3": (("k",), functools.partial(_fe_g, _X - 1, 0), _max_index),
+    "FE-SUB": (("j",), _fe_sub, _max_index),
+    "FE-MONO": (("l",), _fe_mono, _max_index),
+    "FE-DIFFX": (("k", "l"), _fe_diffx, _max_index),
+    "FE-DIFFT": (("k", "v"), _fe_difft, _max_index),
+    "FE-PROD": (("k1", "k2"), _fe_prod, lambda k1, k2: k1 + k2),
+    "FE-XY": (("k",), _fe_xy, lambda k: 2 * k),
 }
 
-FE_IDS = tuple(_FE_CATALOG)
+# The functional equations: every entry after the closed form.
+FE_IDS = tuple(_FE_CATALOG)[1:]
 
-# The lowest t-order at which an equation's two sides are nonzero, from its
-# indices: k1 + k2 for FE-PROD, 2k for FE-XY, and the largest index for the
-# others (0 for FE-SUM and FE-ALT).
-_LEAD = {"FE-PROD": lambda k1, k2: k1 + k2, "FE-XY": lambda k: 2 * k}
+
+def _entry(fe_id: str):
+    if fe_id not in _FE_CATALOG:
+        raise ValueError(f"unknown functional equation id: {fe_id!r}")
+    return _FE_CATALOG[fe_id]
 
 
 def fe_vacuous(fe_id: str, params: Mapping[str, int], order: int) -> bool:
     """Whether both sides of one catalog entry vanish through `order`: the
     check, mutated or not, would then pass whatever it compared."""
-    lead = _LEAD.get(fe_id)
-    return (lead(**params) if lead else max(params.values(), default=0)) > order
+    return _entry(fe_id)[2](**params) > order
 
 
 def fe_param_names(fe_id: str) -> tuple[str, ...]:
-    if fe_id not in _FE_CATALOG:
-        raise ValueError(f"unknown functional equation id: {fe_id!r}")
-    return _FE_CATALOG[fe_id][0]
+    return _entry(fe_id)[0]
 
 
 def check_functional_equation(
@@ -365,14 +363,14 @@ def check_functional_equation(
 ) -> IdentityReport:
     """Verify one catalog entry by exact coefficient equality through `order`.
 
-    `mutate=True` doubles the right-hand side (the unit prefactor bumped by
-    one), which must flip the verdict whenever the truncated right side is
-    nonzero -- the deliberate-failure path used in CI.  A tuple whose sides
-    both vanish through `order` (`fe_vacuous`) is a ValueError.
+    The closed form, `egf-closed-form`, is the first entry and is decided
+    here like every equation.  `mutate=True` doubles the right-hand side (the
+    unit prefactor bumped by one), which must flip the verdict whenever the
+    truncated right side is nonzero.  A tuple whose sides both vanish through
+    `order` (`fe_vacuous`) is a ValueError; a failure is witnessed by the
+    first differing monomial t^n x^i y^j.
     """
-    if fe_id not in _FE_CATALOG:
-        raise ValueError(f"unknown functional equation id: {fe_id!r}")
-    names, builder = _FE_CATALOG[fe_id]
+    names, builder, _ = _entry(fe_id)
     if set(params) != set(names):
         raise ValueError(f"{fe_id} takes parameters {names}, got {tuple(params)}")
     values = {name: params[name] for name in names}
@@ -384,33 +382,18 @@ def check_functional_equation(
     if fe_vacuous(fe_id, values, order):
         raise ValueError(f"{fe_id} at {values} vanishes through order {order}: the check would pass vacuously")
     lhs, rhs = builder(order, **values)
-    return _verdict(fe_id, values, lhs, rhs, mutate)
-
-
-def check_closed_form(k: int, order: int, mutate: bool = False) -> IdentityReport:
-    """Definitional series vs the closed form, as exact coefficient equality."""
-    if k < 0:
-        raise ValueError("index k must be nonnegative")
-    lhs = egf_bernstein(k, order)
-    rhs = egf_bernstein_closed(k, order)
-    return _verdict("egf-closed-form", {"k": k}, lhs, rhs, mutate)
-
-
-def _verdict(
-    check_id: str, params: Mapping[str, int], lhs: TruncatedEGF, rhs: TruncatedEGF, mutate: bool
-) -> IdentityReport:
-    """Compare two series (the right side doubled when `mutate`); a failure
-    is witnessed by the first differing monomial t^n x^i y^j."""
     if mutate:
         rhs = rhs.scale(2)
     ok, mismatch = egf_equal(lhs, rhs)
     if ok:
-        return IdentityReport(check_id, params, True, METHOD_SYMBOLIC)
-    n, diff = mismatch
-    (i, j), _ = diff.monomials()[0]
-    witness = Witness(
-        lhs=scalar_str(lhs.coefficient(n).coefficient(i, j)),
-        rhs=scalar_str(rhs.coefficient(n).coefficient(i, j)),
-        monomial={"t": n, "x": i, "y": j},
-    )
-    return IdentityReport(check_id, params, False, METHOD_SYMBOLIC, witness)
+        return IdentityReport(fe_id, values, True, METHOD_SYMBOLIC)
+    n = mismatch[0]
+    rep = compare_poly(fe_id, values, lhs.coefficient(n), rhs.coefficient(n))
+    witness = dataclasses.replace(rep.witness, monomial={"t": n, **rep.witness.monomial})
+    return dataclasses.replace(rep, witness=witness)
+
+
+def check_closed_form(k: int, order: int, mutate: bool = False) -> IdentityReport:
+    """Definitional series vs the closed form: the catalog's first entry."""
+    return check_functional_equation("egf-closed-form", {"k": k}, order, mutate)
+

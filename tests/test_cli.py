@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bernkit
-from bernkit.campaign import ALL_IDS, VerifyConfig, emit_report, run_verify
+from bernkit.campaign import ALL_IDS, VerifyConfig, run_verify
 from bernkit.cli import build_parser, main
 
 SMALL = ["--max-degree", "3", "--egf-order", "6"]
@@ -188,10 +188,10 @@ class TestProgrammaticSurface:
         assert report.total == 4  # n = 0..3
         assert {r["id"] for r in report.results} == {"sum"}
 
-    def test_emit_rejects_unknown_format(self):
+    def test_emit_rejects_unknown_format(self, render):
         report = run_verify(VerifyConfig(max_degree=0, egf_order=0, identities=("sum",)))
         with pytest.raises(ValueError):
-            emit_report(report, "yaml")
+            render(report, "yaml")
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bernkit import egf
 from bernkit.bernstein import bernstein_basis
-from bernkit.campaign import ALL_IDS, VerifyConfig, emit_report, fe_params, run_verify
+from bernkit.campaign import ALL_IDS, VerifyConfig, fe_params, run_verify
 from bernkit.cli import main
 from bernkit.egf import (
     _FE_CATALOG,
@@ -375,6 +376,7 @@ class TestFunctionalEquationCatalog:
             ("FE-G1", {"k": 11}, 10),
             ("FE-DIFFX", {"k": 11, "l": 0}, 10),
             ("FE-DIFFT", {"k": 11, "v": 1}, 10),
+            ("egf-closed-form", {"k": 11}, 10),
         ],
     )
     def test_tuples_vanishing_through_the_order_are_rejected(self, fe_id, params, order):
@@ -387,7 +389,7 @@ class TestFunctionalEquationCatalog:
             with pytest.raises(ValueError, match="vacuous"):
                 check_functional_equation(fe_id, params, order, mutate=mutate)
 
-    @pytest.mark.parametrize("fe_id", FE_IDS)
+    @pytest.mark.parametrize("fe_id", _FE_CATALOG)
     def test_every_kept_tuple_has_a_nonzero_right_side(self, fe_id):
         order = 6
         for params in fe_params(fe_id, 8):
@@ -436,6 +438,29 @@ class TestFunctionalEquationCatalog:
         assert not mutated.passed
         assert mutated.witness.monomial == {"t": 3, "x": 3, "y": 0}
 
+    @pytest.mark.parametrize("mutate", [False, True])
+    def test_closed_form_beyond_the_order_is_rejected(self, mutate):
+        # G_25 vanishes through order 24, so doubling it changes nothing.
+        with pytest.raises(ValueError, match="vacuous"):
+            check_closed_form(25, 24, mutate=mutate)
+
+    @pytest.mark.parametrize("fe_id", ["FE-DIFFX", "FE-DIFFT"])
+    def test_difference_equations_build_no_zero_series(self, monkeypatch, fe_id):
+        # G_{k-j} with j > k is the zero series; the builders leave it out
+        # rather than build (and memoise) its zero coefficients.
+        indices = []
+
+        def recorder(k, order, var="x"):
+            indices.append(k)
+            return egf_bernstein(k, order, var)
+
+        monkeypatch.setattr(egf, "egf_bernstein", recorder)
+        config = VerifyConfig()
+        for params in fe_params(fe_id, config.max_degree):
+            if not fe_vacuous(fe_id, params, config.egf_order):
+                assert check_functional_equation(fe_id, params, config.egf_order).passed
+        assert indices and min(indices) >= 0
+
 
 # sha256 of the JSON report, wall_time_s zeroed, at max_degree=4 and
 # egf_order=10, recorded from the ring that canonicalised once per term:
@@ -450,12 +475,12 @@ GOLDEN_REPORT_DIGESTS = {
 
 
 @pytest.mark.parametrize("mutate", list(GOLDEN_REPORT_DIGESTS))
-def test_report_digest_is_unchanged(mutate):
+def test_report_digest_is_unchanged(mutate, render):
     """All FE checks clean, or one mutated id on its own."""
     ids = FE_IDS if mutate is None else (mutate,)
     report = run_verify(VerifyConfig(max_degree=4, egf_order=10, identities=ids), mutate=mutate)
     report.wall_time_s = 0.0
-    digest = hashlib.sha256(emit_report(report).encode()).hexdigest()
+    digest = hashlib.sha256(render(report).encode()).hexdigest()
     assert digest == GOLDEN_REPORT_DIGESTS[mutate]
 
 # Per check id: sha256 of its single-id report (max_degree=4, egf_order=8,
@@ -599,9 +624,9 @@ GOLDEN_CHECK_DIGESTS = {
 
 @pytest.mark.parametrize("mutated", [False, True], ids=["clean", "mutated"])
 @pytest.mark.parametrize("check_id", ALL_IDS)
-def test_single_check_report_digest_is_unchanged(check_id, mutated):
+def test_single_check_report_digest_is_unchanged(check_id, mutated, render):
     config = VerifyConfig(max_degree=4, egf_order=8, identities=(check_id,))
     report = run_verify(config, mutate=check_id if mutated else None)
     report.wall_time_s = 0.0
-    digest = hashlib.sha256(emit_report(report).encode()).hexdigest()
+    digest = hashlib.sha256(render(report).encode()).hexdigest()
     assert digest == GOLDEN_CHECK_DIGESTS[check_id][mutated]
