@@ -27,10 +27,10 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Bound on the memoised basis polynomials.  One default campaign builds 680
-# of them, `--max-degree 14` 730, `--max-degree 18 --egf-order 32` 1260
-# and the `suite-oracle` workload of `perfbench` 381; 2048 holds each of
-# these runs without an eviction.
+# Bound on the memoised basis polynomials.  One default campaign builds 435
+# of them, `--max-degree 14` 535, `--max-degree 18 --egf-order 32` 903,
+# `--max-degree 24 --egf-order 32` 1161 and the `suite-oracle` workload of
+# `perfbench` 381; 2048 holds each of these runs without an eviction.
 BASIS_CACHE_SIZE = 2048
 
 
@@ -53,10 +53,11 @@ def bernstein_basis(n: int, k: int) -> Poly1:
 
 
 # Bound on the memoised embeddings, read by the EGF series and the
-# two-variable suite checks.  A campaign reads one per distinct (var, n, k),
-# zero polynomials at k > n included (355 of the 900 at the defaults): 900
-# at the defaults, 953 at `--max-degree 14` and 1653 at `--max-degree 18
-# --egf-order 32`; 2048 holds each of these runs without an eviction.
+# two-variable suite checks.  A campaign reads one per distinct (var, n, k):
+# 575 at the defaults (30 of them zero, from the suite's out-of-range
+# terms), 631 at `--max-degree 14`, 1079 at `--max-degree 18 --egf-order
+# 32` and 1178 at `--max-degree 24 --egf-order 32`; 2048 holds each of
+# these runs without an eviction.
 EMBEDDING_CACHE_SIZE = 2048
 
 

@@ -52,8 +52,8 @@ class VerifyConfig:
 
     def validate(self, mutate: Optional[str] = None) -> None:
         """Raise ValueError for a knob out of range, or for a `mutate` id
-        that is unknown or not among the selected checks (a mutation no
-        check reads would pass vacuously)."""
+        that is unknown, not among the selected checks or has no check at
+        this degree (a mutation no check reads would pass vacuously)."""
         if self.max_degree < 0:
             raise ValueError("max-degree must be nonnegative")
         if self.egf_order < self.max_degree:
@@ -73,6 +73,8 @@ class VerifyConfig:
                 raise ValueError(f"unknown identity id for --mutate: {mutate!r}")
             if mutate not in self.selected():
                 raise ValueError(f"--mutate target {mutate!r} is not among the selected identities")
+            if mutate in SUITE_IDS and not suite_params(mutate, self.max_degree):
+                raise ValueError(f"--mutate target {mutate!r} has no checks at max-degree {self.max_degree}")
 
     def selected(self) -> tuple[str, ...]:
         if self.identities is None:
@@ -159,12 +161,12 @@ def _from_report(rep: IdentityReport, kind: str) -> dict:
 
 
 def _run_suite(identity_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:
-    out = []
-    for params in suite_params(identity_id, config.max_degree):
-        slot = mutation_slots(identity_id, params)[0] if mutated else None
-        rep = run_identity(identity_id, params, mutate=slot)
-        out.append(_from_report(rep, "identity"))
-    return out
+    """Every tuple of one suite identity, each run once.  A mutated run bumps
+    the first slot its first tuple reads, which every tuple reads first (a
+    test pins this); `VerifyConfig.validate` ensures that tuple exists."""
+    tuples = suite_params(identity_id, config.max_degree)
+    slot = mutation_slots(identity_id, tuples[0])[0] if mutated else None
+    return [_from_report(run_identity(identity_id, params, mutate=slot), "identity") for params in tuples]
 
 
 def _run_functional_equation(fe_id: str, config: VerifyConfig, mutated: bool) -> list[dict]:

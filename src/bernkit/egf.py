@@ -186,10 +186,12 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
     closed form t^k var^k e^{(1-var)t} / k! is constructed separately by
     `egf_bernstein_closed`, and their agreement is the catalog's first
     entry, `egf-closed-form`.
-    The coefficients are the memoised embeddings `basis_in(var, n, k)`,
-    which reject any variable name but x and y.
+    The coefficients from t^k on are the memoised embeddings
+    `basis_in(var, n, k)`; those below t^k share one zero, built without the
+    memo.  Any variable name but x and y is a ValueError, whatever k.
     """
-    return TruncatedEGF._of(order, [basis_in(var, n, k) for n in range(order + 1)])
+    zero = Poly2.coerce(Poly1(), var)
+    return TruncatedEGF._of(order, [basis_in(var, n, k) if k <= n else zero for n in range(order + 1)])
 
 
 def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:

@@ -9,7 +9,7 @@ import pytest
 from bernkit.bernstein import basis_in, bernstein_basis
 from bernkit.campaign import VerifyConfig, run_verify, write_report
 from bernkit.egf import egf_bernstein
-from bernkit.identities import _basis_value_table
+from bernkit.identities import SUITE_IDS, _basis_value_table, mutation_slots, suite_params
 
 SMALL = VerifyConfig(max_degree=3, egf_order=6)
 MEMOISED = (bernstein_basis, basis_in, egf_bernstein, _basis_value_table)
@@ -105,3 +105,13 @@ class TestBoundedCaches:
             info = fn.cache_info()
             assert info.maxsize is not None, fn.__name__
             assert info.currsize == info.misses > 0, (fn.__name__, info)
+
+
+def test_every_suite_tuple_reads_the_same_first_slot():
+    # A mutated campaign takes a suite family's slot from its first tuple
+    # and bumps it at every tuple.  Should a family's first slot come to
+    # depend on the tuple, `_run_suite` must go back to one lookup per tuple.
+    for identity_id in SUITE_IDS:
+        tuples = suite_params(identity_id, VerifyConfig().max_degree)
+        firsts = {mutation_slots(identity_id, params)[0] for params in tuples}
+        assert len(firsts) == 1, (identity_id, firsts)

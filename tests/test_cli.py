@@ -74,6 +74,16 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="not among the selected"):
             run_verify(VerifyConfig(identities=("LAPLACE",)), mutate="TG3")
 
+    @pytest.mark.parametrize("target", ["tg1", "tg2", "tg5"])
+    def test_mutate_target_with_no_checks_is_usage_error(self, capsys, target):
+        # The finite sums start at degree 1: at degree 0 the mutation would
+        # reach no check and the campaign would report "status ok".
+        code, out, err = run_cli(capsys, ["--max-degree", "0", "--mutate", target])
+        assert code == 2
+        assert out == ""
+        assert target in err and "no checks" in err
+        assert run_cli(capsys, ["--max-degree", "1", "--mutate", target])[0] == 1
+
     def test_bad_eps_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, ["--series-eps", "banana"])
         assert code == 2

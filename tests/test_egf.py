@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bernkit import egf
-from bernkit.bernstein import bernstein_basis
+from bernkit.bernstein import basis_in, bernstein_basis
 from bernkit.campaign import ALL_IDS, VerifyConfig, fe_params, run_verify
 from bernkit.cli import main
 from bernkit.egf import (
@@ -99,6 +99,8 @@ class TestConstructors:
         # Only x and y name a variable; any other name used to build y.
         with pytest.raises(ValueError, match="unknown variable 'z'"):
             egf_bernstein(1, 2, "z")
+        with pytest.raises(ValueError, match="unknown variable 'z'"):
+            egf_bernstein(5, 2, "z")
         with pytest.raises(ValueError, match="unknown variable 'q'"):
             egf_bernstein_closed(1, 2, "q")
         assert egf_bernstein(1, 2, "y") == egf_bernstein_closed(1, 2, "y")
@@ -215,9 +217,30 @@ class TestOneRing:
         assert type(diff) is Poly2
 
     def test_bernstein_series_shares_the_cached_basis_rows(self):
-        for n, c in enumerate(egf_bernstein(2, 6).coeffs):
+        series = egf_bernstein(2, 6)
+        for n, c in enumerate(series.coeffs[2:], 2):
             assert c._num is bernstein_basis(n, 2)._num
-        assert egf_bernstein(2, 6) == TruncatedEGF(6, [bernstein_basis(n, 2) for n in range(7)])
+        # Below t^2 the coefficients are one shared zero, not memoised rows.
+        assert series.coeffs[0] is series.coeffs[1] == Poly2()
+        assert series == TruncatedEGF(6, [bernstein_basis(n, 2) for n in range(7)])
+
+    def test_catalog_embeds_no_zero_basis_function(self, monkeypatch):
+        # Every default catalog tuple reads the embedding B_k^n only where it
+        # is nonzero (k <= n); the zero coefficients of G_k are not memoised.
+        calls = []
+
+        def recorder(var, n, k):
+            calls.append((var, n, k))
+            return basis_in(var, n, k)
+
+        monkeypatch.setattr(egf, "basis_in", recorder)
+        egf_bernstein.cache_clear()
+        config = VerifyConfig()
+        for fe_id in ("egf-closed-form", *FE_IDS):
+            for params in fe_params(fe_id, config.max_degree):
+                if not fe_vacuous(fe_id, params, config.egf_order):
+                    check_functional_equation(fe_id, params, config.egf_order)
+        assert calls and all(k <= n for _, n, k in calls)
 
     @given(egf_of_order(3), st.lists(fractions_st, max_size=3))
     def test_poly1_operands_act_as_their_poly2_embedding(self, a, cs):

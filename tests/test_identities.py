@@ -34,6 +34,27 @@ from bernkit.identities import (
 from bernkit.polynomials import Poly1, Poly2, scalar_str
 from bernkit.report import compare_poly
 
+# Each suite identity's public check, called with a parameter tuple as
+# keywords and `mutate`.
+PUBLIC_CHECKS = {
+    "sum": verify_sum,
+    "alternating-sum": verify_alternating_sum,
+    "subdivision-product": functools.partial(verify_subdivision, "product"),
+    "subdivision-affine": functools.partial(verify_subdivision, "affine"),
+    "subdivision-trivariate": functools.partial(verify_subdivision, "trivariate"),
+    "monomial": verify_monomial,
+    "derivative": verify_derivative,
+    "recurrence": verify_recurrence,
+    "raise-x": functools.partial(verify_degree_ops, "raise-x"),
+    "raise-1mx": functools.partial(verify_degree_ops, "raise-1mx"),
+    "elevation": functools.partial(verify_degree_ops, "elevation"),
+    "product": verify_product,
+    "two-point": verify_two_point,
+    "tg1": functools.partial(verify_finite_sum, "tg1"),
+    "tg2": functools.partial(verify_finite_sum, "tg2"),
+    "tg5": functools.partial(verify_finite_sum, "tg5"),
+}
+
 
 class TestSum:
     def test_degree_zero(self):
@@ -82,12 +103,11 @@ class TestAlternatingSum:
 
 class TestSubdivision:
     def test_product_variant_degree_one(self):
-        # Both sides equal 1 - xy when n=1, j=0.
+        # Both sides equal 1 - xy when n=1, j=0: through the public entry
+        # point and through the registry's check with an unbumping `bump`.
         assert verify_subdivision("product", 1, 0).passed
-        from bernkit.identities import _subdivision_product  # noqa: PLC2701
-
-        rep = _subdivision_product(1, 0, None)
-        assert rep.passed
+        check = identities._SUITE["subdivision-product"].check
+        assert check(lambda base, slot: base, n=1, j=0).passed
 
     def test_product_variant_collapses_at_j_equals_n(self):
         for n in range(1, 7):
@@ -364,10 +384,8 @@ class TestDispatchAndSlots:
 
     @pytest.mark.parametrize("identity_id", SUITE_IDS)
     def test_public_check_rejects_an_unread_slot(self, identity_id):
-        # The registry holds the public check itself, so this calls the
-        # public function, not `run_identity`.
-        check = identities._SUITE[identity_id].check
-        assert getattr(check, "func", check).__name__.startswith("verify_")
+        # Calls the public `verify_*` of the identity, not `run_identity`.
+        check = PUBLIC_CHECKS[identity_id]
         params = suite_params(identity_id, 3)[-1]
         with pytest.raises(ValueError, match=f"^{re.escape(identity_id)} has no mutation slot 'bogus' at "):
             check(**params, mutate="bogus")
@@ -381,18 +399,37 @@ class TestDispatchAndSlots:
         with pytest.raises(ValueError, match="no mutation slot"):
             verify_degree_ops("raise-x", 3, 1, 2, mutate="term:0")
 
-    def test_run_identity_checks_the_slot_once(self, monkeypatch):
+    def test_run_identity_runs_the_check_once(self, monkeypatch):
+        # The slot is validated against what the one run read: neither the
+        # public entry point nor `run_identity` runs the check a second time.
         entry = identities._SUITE["product"]
         seen = []
 
-        def slots(params):
-            seen.append(dict(params))
-            return entry.slots(params)
+        def check(bump, **params):
+            seen.append(params)
+            return entry.check(bump, **params)
 
-        monkeypatch.setitem(identities._SUITE, "product", entry._replace(slots=slots))
+        monkeypatch.setitem(identities._SUITE, "product", entry._replace(check=check))
         params = {"n": 3, "k1": 1, "k2": 1}
         assert not run_identity("product", params, mutate="prefactor").passed
-        assert seen == [params]
+        assert not verify_product(**params, mutate="prefactor").passed
+        assert seen == [params, params]
+
+    def test_a_slot_is_whatever_the_check_reads(self, monkeypatch):
+        # A check that reads one more constant has one more slot, with no
+        # other list to update; bumping it reaches the check.
+        entry = identities._SUITE["sum"]
+        extra = []
+
+        def check(bump, n):
+            extra.append(bump(0, "extra"))
+            return entry.check(bump, n=n)
+
+        monkeypatch.setitem(identities._SUITE, "sum", entry._replace(check=check))
+        assert mutation_slots("sum", {"n": 2}) == ("extra", "rhs-const")
+        assert run_identity("sum", {"n": 2}, mutate="extra").passed
+        assert verify_sum(2, mutate="extra").passed
+        assert extra == [0, 1, 1]
 
     def test_slots_are_nonempty_for_all_ids(self):
         values = {"n": 4, "j": 2, "k": 1, "l": 1, "v": 1, "k1": 1, "k2": 1, "d": 1}
@@ -417,6 +454,14 @@ def _suite_cases(max_degree=6, trivariate_degree=5):
         cap = trivariate_degree if identity_id == "subdivision-trivariate" else max_degree
         for params in suite_params(identity_id, cap):
             yield identity_id, params
+
+
+def test_public_checks_report_what_run_identity_reports():
+    assert tuple(PUBLIC_CHECKS) == SUITE_IDS
+    for identity_id, params in _suite_cases(4, 4):
+        for slot in (None, *mutation_slots(identity_id, params)):
+            public = PUBLIC_CHECKS[identity_id](**params, mutate=slot)
+            assert public == run_identity(identity_id, params, mutate=slot), (identity_id, params, slot)
 
 
 def test_clean_checks_add_no_polynomials(monkeypatch):

@@ -56,6 +56,16 @@ def test_oracle_table_and_exemptions_cover_every_campaign_check():
     assert sorted([*UNJUDGED, *oracle._SIDES]) == sorted(ALL_IDS)
 
 
+def test_suite_and_oracle_read_the_same_slots():
+    # On both sides a slot is a constant the check reads through `bump`; the
+    # oracle's are read by calling its sides function with a recording bump.
+    for identity_id, (_, sides) in oracle._SIDES.items():
+        for params in suite_params(identity_id, 5 if identity_id == "subdivision-trivariate" else 8):
+            read = set()
+            sides(lambda base, slot: read.add(slot) or base, **params)
+            assert read == set(mutation_slots(identity_id, params)), (identity_id, params)
+
+
 @pytest.mark.parametrize("identity_id", SUITE_IDS)
 def test_oracle_agrees_on_clean_tuples(identity_id):
     for params in suite_params(identity_id, 10):
