@@ -196,13 +196,10 @@ def egf_bernstein(k: int, order: int, var: str = "x") -> TruncatedEGF:
 
 def egf_bernstein_closed(k: int, order: int, var: str = "x") -> TruncatedEGF:
     """Closed form t^k var^k e^{(1-var)t} / k! as an order-N truncation."""
-    if var not in ("x", "y"):
-        raise ValueError(f"unknown variable {var!r} (expected 'x' or 'y')")
+    v = Poly2.coerce(Poly1.x(), var)
     if k < 0:
         return TruncatedEGF.zero(order)
-    v = Poly2.x() if var == "x" else Poly2.y()
-    series = egf_exp_affine(1 - v, order).shift_t(k)
-    return series.scale(v**k * Fraction(1, math.factorial(k)))
+    return egf_exp_affine(1 - v, order).shift_t(k).scale(_monomial_scale(k, v))
 
 
 def egf_bernstein_at(k: int, order: int) -> TruncatedEGF:

@@ -20,7 +20,10 @@ as the sensitivity check that the comparisons cannot pass vacuously.
 One registry (`_SUITE`, at the end) maps each identity to its parameter
 generator and its check, `(bump, **params) -> IdentityReport`.
 `run_identity` is the one path into a check; each public `verify_*` is a
-call to it, and `mutation_slots` lists the slots a clean run reads.
+call to it, and `mutation_slots` lists the slots a clean run reads.  The
+two degree-raising identities are one rule, f^d B_k^n = C(n,k)/C(n+d,t)
+B_t^(n+d) with (f, t) = (x, k+d) or (1-x, k), so one check, `_raise`,
+is bound twice in the registry.
 """
 
 from __future__ import annotations
@@ -257,30 +260,19 @@ def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -
     return run_identity("recurrence", {"n": n, "k": k, "v": v}, mutate=mutate)
 
 
-def _raise_x(bump: Callable, n: int, k: int, d: int) -> IdentityReport:
+def _raise(
+    identity_id: str, factor: Callable[[int], Poly1], shift: int, bump: Callable, n: int, k: int, d: int
+) -> IdentityReport:
+    """Degree raising, f^d B_k^n = C(n,k)/C(n+d,t) B_t^(n+d) with t = k + shift*d:
+    `factor(d)` is x^d with shift 1 (raise-x) or (1-x)^d with shift 0 (raise-1mx)."""
     _in_range("index k", k, 0, n)
     if d < 1:
         raise ValueError("raise power d must be at least 1")
-    lhs = Poly1.monomial(d) * bernstein_basis(n, k)
-    pf = Fraction(
-        math.factorial(n) * math.factorial(k + d),
-        math.factorial(k) * math.factorial(n + d),
-    )
-    rhs = bernstein_basis(n + d, k + d) * bump(pf, "prefactor")
-    return compare_poly("raise-x", {"n": n, "k": k, "d": d}, lhs, rhs)
-
-
-def _raise_1mx(bump: Callable, n: int, k: int, d: int) -> IdentityReport:
-    _in_range("index k", k, 0, n)
-    if d < 1:
-        raise ValueError("raise power d must be at least 1")
-    lhs = _ONE_MINUS_X**d * bernstein_basis(n, k)
-    pf = Fraction(
-        math.factorial(n) * math.factorial(n + d - k),
-        math.factorial(n + d) * math.factorial(n - k),
-    )
-    rhs = bernstein_basis(n + d, k) * bump(pf, "prefactor")
-    return compare_poly("raise-1mx", {"n": n, "k": k, "d": d}, lhs, rhs)
+    t = k + shift * d
+    lhs = factor(d) * bernstein_basis(n, k)
+    pf = Fraction(math.comb(n, k), math.comb(n + d, t))
+    rhs = bernstein_basis(n + d, t) * bump(pf, "prefactor")
+    return compare_poly(identity_id, {"n": n, "k": k, "d": d}, lhs, rhs)
 
 
 def _elevation(bump: Callable, n: int, k: int) -> IdentityReport:
@@ -456,8 +448,8 @@ _SUITE = {
     "monomial": _SuiteEntry(_indexed("l"), _monomial),
     "derivative": _SuiteEntry(_indexed("k", "l"), _derivative),
     "recurrence": _SuiteEntry(_indexed("k", "v"), _recurrence),
-    "raise-x": _SuiteEntry(_raise_params, _raise_x),
-    "raise-1mx": _SuiteEntry(_raise_params, _raise_1mx),
+    "raise-x": _SuiteEntry(_raise_params, functools.partial(_raise, "raise-x", Poly1.monomial, 1)),
+    "raise-1mx": _SuiteEntry(_raise_params, functools.partial(_raise, "raise-1mx", lambda d: _ONE_MINUS_X**d, 0)),
     "elevation": _SuiteEntry(_indexed("k"), _elevation),
     "product": _SuiteEntry(_product_params, _product),
     "two-point": _SuiteEntry(_two_point_params, _two_point),

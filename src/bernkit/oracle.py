@@ -18,9 +18,11 @@ y.  A side with a rational prefactor num/den is compared as den * lhs ==
 num * rhs, so every grid value stays an `int`.  Composite arguments (xy,
 x + y - xy, (1 - w)x + wy) are computed as numbers and the derivative
 family uses the Leibniz rule on x^k (1 - x)^(n - k), so nothing here
-multiplies, composes or differentiates a polynomial.  The module imports
-only the standard library, so it shares no arithmetic with the suite it
-judges.
+multiplies, composes or differentiates a polynomial.  Both degree-raising
+families are one rule, f^d B_k^n = C(n,k)/C(n+d,t) B_t^(n+d) with
+(f, t) = (x, k+d) or (1 - x, k), decided by one sides function.  The
+module imports only the standard library, so it shares no arithmetic with
+the suite it judges.
 
 Mutation slots are re-applied here independently so mutated checks can be
 cross-adjudicated.  A parameter name the identity does not take, a tuple
@@ -111,10 +113,6 @@ def _require(ok: bool, message: str) -> None:
 
 def _subdivision_range(identity_id: str, n: int, j: int) -> None:
     _require(0 <= j <= n, f"{identity_id} needs 0 <= j <= n (got n={n}, j={j})")
-
-
-def _raise_range(identity_id: str, n: int, k: int, d: int) -> None:
-    _require(0 <= k <= n and d >= 1, f"{identity_id} needs 0 <= k <= n, d >= 1 (got {n}, {k}, {d})")
 
 
 def _finite_sum_range(identity_id: str, n: int, k: int) -> None:
@@ -236,20 +234,13 @@ def _recurrence_sides(bump: Callable, n: int, k: int, v: int):
     return n, 1, lambda x: _node(n, k, x), rhs
 
 
-def _raise_x_sides(bump: Callable, n: int, k: int, d: int):
-    _raise_range("raise-x", n, k, d)
-    pf = Fraction(math.factorial(n) * math.factorial(k + d), math.factorial(k) * math.factorial(n + d))
-    num, den = bump(pf, "prefactor").as_integer_ratio()
-    return n + d, 1, lambda x: den * x**d * _node(n, k, x), lambda x: num * _node(n + d, k + d, x)
-
-
-def _raise_1mx_sides(bump: Callable, n: int, k: int, d: int):
-    _raise_range("raise-1mx", n, k, d)
-    pf = Fraction(
-        math.factorial(n) * math.factorial(n + d - k), math.factorial(n + d) * math.factorial(n - k)
-    )
-    num, den = bump(pf, "prefactor").as_integer_ratio()
-    return n + d, 1, lambda x: den * (1 - x) ** d * _node(n, k, x), lambda x: num * _node(n + d, k, x)
+def _raise_sides(identity_id: str, factor: Callable, shift: int, bump: Callable, n: int, k: int, d: int):
+    """f^d B_k^n = C(n,k)/C(n+d,t) B_t^(n+d), t = k + shift*d: f(x) = x with
+    shift 1 (raise-x), f(x) = 1 - x with shift 0 (raise-1mx)."""
+    _require(0 <= k <= n and d >= 1, f"{identity_id} needs 0 <= k <= n, d >= 1 (got {n}, {k}, {d})")
+    t = k + shift * d
+    num, den = bump(Fraction(math.comb(n, k), math.comb(n + d, t)), "prefactor").as_integer_ratio()
+    return n + d, 1, lambda x: den * factor(x) ** d * _node(n, k, x), lambda x: num * _node(n + d, t, x)
 
 
 def _elevation_sides(bump: Callable, n: int, k: int):
@@ -324,8 +315,8 @@ _SIDES = {
     "monomial": (("n", "l"), _monomial_sides),
     "derivative": (("n", "k", "l"), _derivative_sides),
     "recurrence": (("n", "k", "v"), _recurrence_sides),
-    "raise-x": (("n", "k", "d"), _raise_x_sides),
-    "raise-1mx": (("n", "k", "d"), _raise_1mx_sides),
+    "raise-x": (("n", "k", "d"), functools.partial(_raise_sides, "raise-x", lambda x: x, 1)),
+    "raise-1mx": (("n", "k", "d"), functools.partial(_raise_sides, "raise-1mx", lambda x: 1 - x, 0)),
     "elevation": (("n", "k"), _elevation_sides),
     "product": (("n", "k1", "k2"), _product_sides),
     "two-point": (("n", "k"), _two_point_sides),

@@ -11,10 +11,12 @@ Both rings store one layout, packed along x: `_num` is a tuple of
 equal-length rows, row j holding the coefficients of x^i y^j for
 i = 0, 1, ...  A `Poly1` is the one-row case, so a `Poly2` in x alone
 costs what a `Poly1` does, and `Poly2.coerce` lifts a `Poly1` as a view
-of its rows.  The shared base, `_Poly`, holds the arithmetic once; each
-ring adds only its public surface (`degree`, `coefficient`, `evaluate`,
-`monomials`), and `Poly2(grid)` reads grid[i][j] as the coefficient of
-x^i y^j.
+of its rows.  The shared base, `_Poly`, holds the arithmetic and the
+reading surface once: `degree` is the total degree (for one row, the
+x-degree), `monomials` lists the terms in graded lexicographic order, and
+one Horner loop evaluates both rings, a `Poly1` at y = 0.  Each ring adds
+only its constructors, `coefficient`, `coeffs` and the arity of
+`evaluate`; `Poly2(grid)` reads grid[i][j] as the coefficient of x^i y^j.
 
 Both rings multiply in one kernel, `_Poly.sum_of_products`.  Each row is
 packed by Kronecker substitution in x into one `int`, with a fixed number
@@ -220,6 +222,42 @@ class _Poly:
     def __bool__(self) -> bool:
         return bool(self._num)
 
+    @property
+    def degree(self) -> int:
+        """Total degree, the largest i + j over nonzero entries; -1 for the
+        zero polynomial."""
+        best = -1
+        for j, row in enumerate(self._num):
+            i = len(row) - 1
+            while i >= 0 and not row[i]:
+                i -= 1
+            if i >= 0 and i + j > best:
+                best = i + j
+        return best
+
+    def monomials(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Nonzero terms as (exponents, coefficient) in graded lexicographic
+        order, one exponent per variable: ((i,), c) in one variable, ((i, j), c)
+        in two."""
+        arity, den = len(self._VARS), self._den
+        terms = [
+            ((i, j)[:arity], Fraction(v, den)) for j, row in enumerate(self._num) for i, v in enumerate(row) if v
+        ]
+        terms.sort(key=lambda t: (sum(t[0]), t[0]))
+        return terms
+
+    def _horner(self, x: Fraction, y: ScalarLike) -> Fraction:
+        """Exact Horner evaluation at (x, y), in x along each row and in y
+        across the rows.  A `Poly1` passes the int y = 0, which costs no
+        `Fraction` arithmetic."""
+        acc = 0
+        for row in reversed(self._num):
+            racc = 0
+            for v in reversed(row):
+                racc = racc * x + v
+            acc = acc * y + racc
+        return Fraction(acc, self._den) if isinstance(acc, int) else acc / self._den
+
     def __eq__(self, other: object) -> bool:
         if type(other) is type(self):
             return self._num == other._num and self._den == other._den
@@ -330,11 +368,6 @@ class Poly1(_Poly):
         return _POLY1_X
 
     @property
-    def degree(self) -> int:
-        """Degree, with -1 standing in for the zero polynomial."""
-        return len(self._row) - 1
-
-    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self._den) for v in self._row)
 
@@ -344,11 +377,7 @@ class Poly1(_Poly):
 
     def evaluate(self, x: ScalarLike) -> Fraction:
         """Exact Horner evaluation."""
-        xq = as_scalar(x)
-        acc = 0
-        for v in reversed(self._row):
-            acc = acc * xq + v
-        return Fraction(acc, self._den) if isinstance(acc, int) else acc / self._den
+        return self._horner(as_scalar(x), 0)
 
     def as_poly2_in_x(self) -> "Poly2":
         """This polynomial in the bivariate ring, as a view that shares its
@@ -368,10 +397,6 @@ class Poly1(_Poly):
         for i, v in enumerate(self._row):
             rows[i][i] = v
         return Poly2._raw(rows, self._den)
-
-    def monomials(self) -> list[tuple[tuple[int], Fraction]]:
-        """Nonzero terms as ((i,), coefficient), lowest degree first."""
-        return [((i,), Fraction(v, self._den)) for i, v in enumerate(self._row) if v]
 
 
 class Poly2(_Poly):
@@ -409,39 +434,13 @@ class Poly2(_Poly):
             raise ValueError(f"unknown variable {var!r} (expected 'x' or 'y')")
         return Poly2.constant(value)
 
-    @property
-    def degree(self) -> int:
-        """Total degree, the largest i + j over nonzero entries; -1 for the
-        zero polynomial."""
-        best = -1
-        for j, row in enumerate(self._num):
-            for i, v in enumerate(row):
-                if v and i + j > best:
-                    best = i + j
-        return best
-
     def coefficient(self, i: int, j: int) -> Fraction:
         if 0 <= j < len(self._num) and 0 <= i < len(self._num[j]):
             return Fraction(self._num[j][i], self._den)
         return Fraction(0)
 
     def evaluate(self, x: ScalarLike, y: ScalarLike) -> Fraction:
-        xq, yq = as_scalar(x), as_scalar(y)
-        acc = Fraction(0)
-        for row in reversed(self._num):
-            racc = 0
-            for v in reversed(row):
-                racc = racc * xq + v
-            acc = acc * yq + racc
-        return acc / self._den
-
-    def monomials(self) -> list[tuple[tuple[int, int], Fraction]]:
-        """Nonzero terms as ((i, j), coefficient) in graded lexicographic order."""
-        terms = [
-            ((i, j), Fraction(v, self._den)) for j, row in enumerate(self._num) for i, v in enumerate(row) if v
-        ]
-        terms.sort(key=lambda t: (t[0][0] + t[0][1], t[0]))
-        return terms
+        return self._horner(as_scalar(x), as_scalar(y))
 
 
 def _format_terms(terms, names) -> str:

@@ -9,10 +9,12 @@ explicit geometric tail majorant (never a guessed truncation error):
 
 The enforced domains come from the ratio test on the term magnitudes
 C(n,k) rho^(n-k) (rho = 1-x, resp. (1-x)/x); outside them the sums
-diverge, so out-of-domain requests are hard errors rather than NaNs.  The
-partial sums add terms built by their ratio recurrence, whose absolute
-values are those magnitudes; a sweep shares one list of them between its
-sums and its bounds.
+diverge, so out-of-domain requests are hard errors rather than NaNs, and
+`series_limit` refuses them too.  One function, `_ratio`, holds the term
+ratio r = 1-x, resp. -(1-x)/x: the partial sums add terms built by the
+recurrence term_n = term_(n-1) r n/(n-k), whose absolute values are those
+magnitudes, and the tail majorant reads rho = |r|.  A sweep shares one
+list of terms between its sums and its bounds.
 
 `laplace_monomial` is the one deliberately floating-point operation in the
 package: a quadrature approximation of the integral of t^k e^(-x t),
@@ -102,11 +104,11 @@ def _check_domain(series_id: str, k: int, x: Fraction) -> None:
         raise ValueError(f"unknown series id: {series_id!r}")
 
 
-def _ratio_and_amplitude(series_id: str, k: int, x: Fraction) -> tuple[Fraction, Fraction]:
-    """Term magnitudes are amplitude * C(n,k) * rho^(n-k) for n >= k."""
-    if series_id == "TG3":
-        return 1 - x, x**k
-    return (1 - x) / x, 1 / x
+def _ratio(series_id: str, x: Fraction) -> Fraction:
+    """The one term ratio: from n = k on, term n is term n - 1 times
+    r n/(n - k), with r = 1 - x for TG3 and r = -(1 - x)/x for TG4.  Its
+    absolute value is the majorant's rho."""
+    return 1 - x if series_id == "TG3" else (x - 1) / x
 
 
 def _term(series_id: str, k: int, x: Fraction, n: int) -> Fraction:
@@ -121,9 +123,9 @@ def _term(series_id: str, k: int, x: Fraction, n: int) -> Fraction:
 def _terms(series_id: str, k: int, x: Fraction, last: int) -> list:
     """Signed terms 0..last: zero below k, `_term` at n = k, and from there
     each term is the one before times r n/(n - k), as C(n,k)/C(n-1,k) =
-    n/(n - k); r = 1 - x for TG3 and -(1 - x)/x for TG4.  Each term's
-    absolute value is its majorant magnitude."""
-    r = 1 - x if series_id == "TG3" else (x - 1) / x
+    n/(n - k), r = `_ratio`.  Each term's absolute value is its majorant
+    magnitude."""
+    r = _ratio(series_id, x)
     p, q = r.numerator, r.denominator
     out = [0] * min(k, last + 1)
     if last >= k:
@@ -135,10 +137,14 @@ def _terms(series_id: str, k: int, x: Fraction, last: int) -> list:
     return out
 
 
-def series_limit(series_id: str, k: int, x: Fraction) -> Fraction:
+def series_limit(series_id: str, k: int, x: ScalarLike) -> Fraction:
+    """The closed-form sum of a series inside its domain: 1/x for TG3,
+    (-1)^k x^k for TG4."""
+    xq = as_scalar(x)
+    _check_domain(series_id, k, xq)
     if series_id == "TG3":
-        return 1 / x
-    return -(x**k) if k % 2 else x**k
+        return 1 / xq
+    return -(xq**k) if k % 2 else xq**k
 
 
 def _majorant(series_id: str, k: int, x: Fraction):
@@ -149,7 +155,8 @@ def _majorant(series_id: str, k: int, x: Fraction):
     whole tail from index m >= m0 on by a geometric series with the ratio
     at m.
     """
-    rho, amp = _ratio_and_amplitude(series_id, k, x)
+    rho = abs(_ratio(series_id, x))
+    amp = abs(_term(series_id, k, x, k))
 
     def magnitude(n: int) -> Fraction:
         return amp * math.comb(n, k) * rho ** (n - k) if n >= k else Fraction(0)

@@ -515,6 +515,20 @@ def test_every_slot_report_digest_is_unchanged():
     assert digest.hexdigest() == EVERY_SLOT_DIGEST
 
 
+# sha256 over the JSON of [id, params, slots] for every suite tuple up to
+# degree 10 (trivariate 6), in suite order: a slot added, dropped, renamed
+# or read in another order changes it, at degrees the report digest above
+# does not reach.
+SLOT_LIST_DIGEST = "3f848dfcdb536d28558c54b6e16862c405675d5e483f49f7423c4f6227ad7da4"
+
+
+def test_slot_lists_to_degree_10_are_unchanged():
+    digest = hashlib.sha256()
+    for identity_id, params in _suite_cases(10, 6):
+        digest.update(json.dumps([identity_id, params, mutation_slots(identity_id, params)]).encode() + b"\n")
+    assert digest.hexdigest() == SLOT_LIST_DIGEST
+
+
 # sha256 as above, over every subdivision-trivariate tuple up to degree 12,
 # clean and with each slot: the packed grids reach 14^3 points per tuple and
 # two 64-bit words per slot.

@@ -234,6 +234,13 @@ class TestPoly1Arithmetic:
     @given(poly1_st, fractions_st, fractions_st)
     def test_at_xy_agrees_with_evaluation(self, p, x, y):
         assert p.at_xy().evaluate(x, y) == p.evaluate(x * y)
+        # Both rings read one surface: the lift in x has p's degree, its
+        # value at any y, and p's monomials with j = 0 appended.
+        for q in (p, Poly1()):
+            lift = Poly2.coerce(q)
+            assert lift.degree == q.degree
+            assert lift.evaluate(x, y) == q.evaluate(x)
+            assert lift.monomials() == [((i, 0), c) for (i,), c in q.monomials()]
 
     def test_monomials_and_printing_share_one_shape(self):
         p = Poly1([Fraction(1, 2), 0, -3])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,19 @@ class TestLimits:
     def test_tg4_limit_is_signed_power(self):
         assert series_limit("TG4", 1, Fraction(1)) == -1
         assert series_limit("TG4", 2, Fraction(3, 4)) == Fraction(9, 16)
+
+    def test_limit_checks_its_input_like_partial_sum(self):
+        # An unknown id, a negative index and an x outside the domain fail
+        # with partial_sum's messages, not with some other series' limit.
+        for series_id, k, x in (("TG9", 1, Fraction(1, 2)), ("TG3", -1, Fraction(1, 2)), ("TG4", 1, 3)):
+            with pytest.raises(ValueError) as want:
+                partial_sum(series_id, k, x, 10)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                series_limit(series_id, k, x)
+
+    def test_limit_of_an_int_point_is_a_fraction(self):
+        limit = series_limit("TG4", 3, 1)
+        assert limit == -1 and type(limit) is Fraction
 
     def test_tg4_at_endpoint_collapses(self):
         # At x=1 only the n=k term survives, giving the limit exactly.
