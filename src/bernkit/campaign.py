@@ -37,6 +37,9 @@ _LAPLACE_POINTS = (Fraction(1, 2), Fraction(1), Fraction(2))
 _LAPLACE_STEPS = 100_000
 _LAPLACE_RTOL = 1e-6
 _EVAL_POINTS_PER_PAIR = 3
+# The renderings `write_report` knows, read by `VerifyConfig.validate` and
+# by the CLI's `--format` choices.
+FORMATS = ("json", "text")
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class VerifyConfig:
             raise ValueError("egf-order must be at least max-degree")
         if self.series_eps <= 0:
             raise ValueError("series-eps must be positive")
-        if self.format not in ("json", "text"):
+        if self.format not in FORMATS:
             raise ValueError(f"unknown format: {self.format!r}")
         if self.identities is not None:
             if not self.identities:

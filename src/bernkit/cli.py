@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .campaign import ALL_IDS, VerifyConfig, run_verify, write_report
+from .campaign import ALL_IDS, FORMATS, VerifyConfig, run_verify, write_report
+from .polynomials import scalar_str
 
 USAGE_EXIT = 2
 BROKEN_PIPE_EXIT = 141
@@ -26,13 +27,16 @@ def build_parser() -> argparse.ArgumentParser:
         "equations, and certified series numerically and symbolically.",
     )
     parser.add_argument(
-        "--max-degree", type=int, default=10, help="largest basis degree to sweep (default 10)"
+        "--max-degree",
+        type=int,
+        default=VerifyConfig.max_degree,
+        help="largest basis degree to sweep (default %(default)s)",
     )
     parser.add_argument(
         "--egf-order",
         type=int,
-        default=24,
-        help="truncation order for generating-function checks (default 24)",
+        default=VerifyConfig.egf_order,
+        help="truncation order for generating-function checks (default %(default)s)",
     )
     parser.add_argument(
         "--identities",
@@ -42,12 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--series-eps",
-        default="1e-9",
+        default=scalar_str(VerifyConfig.series_eps),
         metavar="EPS",
-        help="target tail bound for series checks, parsed exactly (default 1e-9)",
+        help="target tail bound for series checks, parsed exactly (default %(default)s)",
     )
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized basis checks")
+    parser.add_argument("--format", choices=FORMATS, default=VerifyConfig.format)
+    parser.add_argument("--seed", type=int, default=VerifyConfig.seed, help="seed for randomized basis checks")
     parser.add_argument("--list-identities", action="store_true", help="print check ids and exit")
     parser.add_argument("--mutate", metavar="ID", default=None, help=argparse.SUPPRESS)
     return parser

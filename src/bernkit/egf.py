@@ -19,7 +19,6 @@ identity for every degree up to that order.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -27,7 +26,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .bernstein import basis_in, bernstein_basis, binomial
 from .polynomials import Poly1, Poly2, ScalarLike, as_scalar
-from .report import METHOD_SYMBOLIC, IdentityReport, compare_poly
+from .report import METHOD_SYMBOLIC, IdentityReport, Witness, compare_poly
 
 CoeffLike = Union[ScalarLike, Poly1, Poly2]
 
@@ -384,12 +383,12 @@ def check_functional_equation(
     if mutate:
         rhs = rhs.scale(2)
     ok, mismatch = egf_equal(lhs, rhs)
-    if ok:
-        return IdentityReport(fe_id, values, True, METHOD_SYMBOLIC)
-    n = mismatch[0]
-    rep = compare_poly(fe_id, values, lhs.coefficient(n), rhs.coefficient(n))
-    witness = dataclasses.replace(rep.witness, monomial={"t": n, **rep.witness.monomial})
-    return dataclasses.replace(rep, witness=witness)
+    witness = None
+    if not ok:
+        n = mismatch[0]
+        w = compare_poly(lhs.coefficient(n), rhs.coefficient(n))
+        witness = Witness(w.lhs, w.rhs, monomial={"t": n, **w.monomial})
+    return IdentityReport(fe_id, values, METHOD_SYMBOLIC, witness)
 
 
 def check_closed_form(k: int, order: int, mutate: bool = False) -> IdentityReport:

@@ -18,10 +18,12 @@ passes vacuously.  The slots double as the CI failure-injection path and
 as the sensitivity check that the comparisons cannot pass vacuously.
 
 One registry (`_SUITE`, at the end) maps each identity to its parameter
-generator and its check, `(bump, **params) -> IdentityReport`.
-`run_identity` is the one path into a check; each public `verify_*` is a
-call to it, and `mutation_slots` lists the slots a clean run reads.  The
-two degree-raising identities are one rule, f^d B_k^n = C(n,k)/C(n+d,t)
+generator, its check, `(bump, **params) -> Optional[Witness]`, and its
+comparison method.  A check returns its witness, None on a pass, and
+names neither its id nor its parameters: `run_identity`, the one path
+into a check, builds the report.  Each public `verify_*` is a call to
+it, and `mutation_slots` lists the slots a clean run reads.  The two
+degree-raising identities are one rule, f^d B_k^n = C(n,k)/C(n+d,t)
 B_t^(n+d) with (f, t) = (x, k+d) or (1-x, k), so one check, `_raise`,
 is bound twice in the registry.
 """
@@ -35,7 +37,7 @@ from typing import Callable, Mapping, NamedTuple, Optional
 
 from .bernstein import basis_in, bernstein_basis, binomial
 from .polynomials import Poly1, Poly2, _pack, _slot_width, scalar_str
-from .report import METHOD_GRID, IdentityReport, Witness, compare_poly
+from .report import METHOD_GRID, METHOD_SYMBOLIC, IdentityReport, Witness, compare_poly
 
 # Fixed factors, built from their coefficients so that no check adds
 # polynomials.  A lone basis term of a fused sum is paired with `_ONE`.
@@ -53,12 +55,12 @@ def _in_range(what: str, i: int, lo: int, n: int) -> None:
         raise ValueError(f"{what}={i} must lie in {lo}..{n}")
 
 
-def _sum(bump: Callable, n: int) -> IdentityReport:
+def _sum(bump: Callable, n: int) -> Optional[Witness]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = Poly1.sum_of_products((1, bernstein_basis(n, k), _ONE) for k in range(n + 1))
     rhs = Poly1.constant(bump(1, "rhs-const"))
-    return compare_poly("sum", {"n": n}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
 def verify_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -66,14 +68,14 @@ def verify_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
     return run_identity("sum", {"n": n}, mutate=mutate)
 
 
-def _alternating_sum(bump: Callable, n: int) -> IdentityReport:
+def _alternating_sum(bump: Callable, n: int) -> Optional[Witness]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     lhs = Poly1.sum_of_products(((-1) ** k, bernstein_basis(n, k), _ONE) for k in range(n + 1))
     c0 = bump(1, "base-const")
     c1 = bump(-2, "base-slope")
     rhs = Poly1([c0, c1]) ** n
-    return compare_poly("alternating-sum", {"n": n}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
 def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -81,7 +83,7 @@ def verify_alternating_sum(n: int, *, mutate: Optional[str] = None) -> IdentityR
     return run_identity("alternating-sum", {"n": n}, mutate=mutate)
 
 
-def _subdivision_product(bump: Callable, n: int, j: int) -> IdentityReport:
+def _subdivision_product(bump: Callable, n: int, j: int) -> Optional[Witness]:
     _in_range("index j", j, 0, n)
     lhs = bernstein_basis(n, j).at_xy()
     scale = bump(1, "scale")
@@ -93,10 +95,10 @@ def _subdivision_product(bump: Callable, n: int, j: int) -> IdentityReport:
         )
         for k in range(j, n + 1)
     )
-    return compare_poly("subdivision-product", {"n": n, "j": j}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
-def _subdivision_affine(bump: Callable, n: int, j: int) -> IdentityReport:
+def _subdivision_affine(bump: Callable, n: int, j: int) -> Optional[Witness]:
     _in_range("index j", j, 0, n)
     lhs = _U**j * _ONE_MINUS_U ** (n - j) * binomial(n, j)
     scale = bump(1, "scale")
@@ -108,7 +110,7 @@ def _subdivision_affine(bump: Callable, n: int, j: int) -> IdentityReport:
         )
         for k in range(j + 1)
     )
-    return compare_poly("subdivision-affine", {"n": n, "j": j}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
 # Nodes per variable of the trivariate grid beyond the D + 1 that decide a
@@ -147,7 +149,7 @@ def _basis_value_table(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(table)
 
 
-def _subdivision_trivariate(bump: Callable, n: int, j: int) -> IdentityReport:
+def _subdivision_trivariate(bump: Callable, n: int, j: int) -> Optional[Witness]:
     """Blend of two interval maps: checked on a rational tensor grid because
     the statement genuinely involves three variables.  At the grid point
     (ix, iy, iz)/c both sides are integers over c^(2n); per x node, each is
@@ -184,13 +186,12 @@ def _subdivision_trivariate(bump: Callable, n: int, j: int) -> IdentityReport:
             d = lhs ^ rhs
             s = ((d & -d).bit_length() - 1) // width
             lhs, rhs = ((v >> s * width) % (1 << width) for v in (lhs, rhs))
-            witness = Witness(
+            return Witness(
                 lhs=scalar_str(Fraction(lhs, c2**n)),
                 rhs=scalar_str(Fraction(rhs, c2**n)),
                 point={v: scalar_str(Fraction(i, c)) for v, i in (("x", ix), ("y", s // c + 1), ("z", s % c + 1))},
             )
-            return IdentityReport("subdivision-trivariate", {"n": n, "j": j}, False, METHOD_GRID, witness)
-    return IdentityReport("subdivision-trivariate", {"n": n, "j": j}, True, METHOD_GRID)
+    return None
 
 
 def verify_subdivision(
@@ -206,7 +207,7 @@ def verify_subdivision(
     return run_identity(f"subdivision-{variant}", {"n": n, "j": j}, mutate=mutate)
 
 
-def _monomial(bump: Callable, n: int, l: int) -> IdentityReport:
+def _monomial(bump: Callable, n: int, l: int) -> Optional[Witness]:
     _in_range("power l", l, 0, n)
     lhs = Poly1.monomial(l, binomial(n, l))
     scale = bump(1, "scale")
@@ -214,7 +215,7 @@ def _monomial(bump: Callable, n: int, l: int) -> IdentityReport:
         (scale * bump(binomial(k, l), f"term:{k}"), bernstein_basis(n, k), _ONE)
         for k in range(l, n + 1)
     )
-    return compare_poly("monomial", {"n": n, "l": l}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
 def verify_monomial(n: int, l: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -222,7 +223,7 @@ def verify_monomial(n: int, l: int, *, mutate: Optional[str] = None) -> Identity
     return run_identity("monomial", {"n": n, "l": l}, mutate=mutate)
 
 
-def _derivative(bump: Callable, n: int, k: int, l: int) -> IdentityReport:
+def _derivative(bump: Callable, n: int, k: int, l: int) -> Optional[Witness]:
     _in_range("derivative order l", l, 0, n)
     lhs = bernstein_basis(n, k).derivative(l)
     prefactor = bump(math.perm(n, l), "prefactor")
@@ -234,7 +235,7 @@ def _derivative(bump: Callable, n: int, k: int, l: int) -> IdentityReport:
         )
         for jj in range(l + 1)
     )
-    return compare_poly("derivative", {"n": n, "k": k, "l": l}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
 def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -243,7 +244,7 @@ def verify_derivative(n: int, k: int, l: int, *, mutate: Optional[str] = None) -
     return run_identity("derivative", {"n": n, "k": k, "l": l}, mutate=mutate)
 
 
-def _recurrence(bump: Callable, n: int, k: int, v: int) -> IdentityReport:
+def _recurrence(bump: Callable, n: int, k: int, v: int) -> Optional[Witness]:
     _in_range("split order v", v, 0, n)
     lhs = bernstein_basis(n, k)
     scale = bump(1, "scale")
@@ -251,7 +252,7 @@ def _recurrence(bump: Callable, n: int, k: int, v: int) -> IdentityReport:
         (scale * bump(1, f"term:{j}"), bernstein_basis(v, j), bernstein_basis(n - v, k - j))
         for j in range(v + 1)
     )
-    return compare_poly("recurrence", {"n": n, "k": k, "v": v}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
 def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -260,9 +261,7 @@ def verify_recurrence(n: int, k: int, v: int, *, mutate: Optional[str] = None) -
     return run_identity("recurrence", {"n": n, "k": k, "v": v}, mutate=mutate)
 
 
-def _raise(
-    identity_id: str, factor: Callable[[int], Poly1], shift: int, bump: Callable, n: int, k: int, d: int
-) -> IdentityReport:
+def _raise(factor: Callable[[int], Poly1], shift: int, bump: Callable, n: int, k: int, d: int) -> Optional[Witness]:
     """Degree raising, f^d B_k^n = C(n,k)/C(n+d,t) B_t^(n+d) with t = k + shift*d:
     `factor(d)` is x^d with shift 1 (raise-x) or (1-x)^d with shift 0 (raise-1mx)."""
     _in_range("index k", k, 0, n)
@@ -272,10 +271,10 @@ def _raise(
     lhs = factor(d) * bernstein_basis(n, k)
     pf = Fraction(math.comb(n, k), math.comb(n + d, t))
     rhs = bernstein_basis(n + d, t) * bump(pf, "prefactor")
-    return compare_poly(identity_id, {"n": n, "k": k, "d": d}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
-def _elevation(bump: Callable, n: int, k: int) -> IdentityReport:
+def _elevation(bump: Callable, n: int, k: int) -> Optional[Witness]:
     _in_range("index k", k, 0, n)
     lhs = bernstein_basis(n, k)
     pf = bump(Fraction(1, n + 1), "prefactor")
@@ -284,7 +283,7 @@ def _elevation(bump: Callable, n: int, k: int) -> IdentityReport:
     rhs = Poly1.sum_of_products(
         [(c0, bernstein_basis(n + 1, k + 1), _ONE), (c1, bernstein_basis(n + 1, k), _ONE)]
     )
-    return compare_poly("elevation", {"n": n, "k": k}, lhs, rhs * pf)
+    return compare_poly(lhs, rhs * pf)
 
 
 def verify_degree_ops(
@@ -300,7 +299,7 @@ def verify_degree_ops(
     return run_identity(variant, {"n": n, "k": k, "d": d}, mutate=mutate)
 
 
-def _product(bump: Callable, n: int, k1: int, k2: int) -> IdentityReport:
+def _product(bump: Callable, n: int, k1: int, k2: int) -> Optional[Witness]:
     if n < 0 or k1 < 0 or k2 < 0:
         raise ValueError("n, k1, k2 must be nonnegative")
     lhs = bernstein_basis(n, k1 + k2)
@@ -312,7 +311,7 @@ def _product(bump: Callable, n: int, k1: int, k2: int) -> IdentityReport:
         (bump(math.comb(n, j), f"term:{j}"), bernstein_basis(j, k1), bernstein_basis(n - j, k2))
         for j in range(n + 1)
     )
-    return compare_poly("product", {"n": n, "k1": k1, "k2": k2}, lhs, rhs * prefactor)
+    return compare_poly(lhs, rhs * prefactor)
 
 
 def verify_product(n: int, k1: int, k2: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -320,7 +319,7 @@ def verify_product(n: int, k1: int, k2: int, *, mutate: Optional[str] = None) ->
     return run_identity("product", {"n": n, "k1": k1, "k2": k2}, mutate=mutate)
 
 
-def _two_point(bump: Callable, n: int, k: int) -> IdentityReport:
+def _two_point(bump: Callable, n: int, k: int) -> Optional[Witness]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     if n < 2 * k:
@@ -336,7 +335,7 @@ def _two_point(bump: Callable, n: int, k: int) -> IdentityReport:
         )
         for j in range(n + 1)
     )
-    return compare_poly("two-point", {"n": n, "k": k}, lhs, rhs * prefactor)
+    return compare_poly(lhs, rhs * prefactor)
 
 
 def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -345,25 +344,25 @@ def verify_two_point(n: int, k: int, *, mutate: Optional[str] = None) -> Identit
     return run_identity("two-point", {"n": n, "k": k}, mutate=mutate)
 
 
-def _tg1(bump: Callable, n: int, k: int) -> IdentityReport:
+def _tg1(bump: Callable, n: int, k: int) -> Optional[Witness]:
     _in_range("index k", k, 1, n)
     lhs = Poly1.sum_of_products(
         (math.comb(n, j), Poly1.monomial(j), bernstein_basis(n - j, k)) for j in range(n - k + 1)
     )
     rhs = Poly1.monomial(k, bump(binomial(n, k), "rhs-const"))
-    return compare_poly("tg1", {"n": n, "k": k}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
-def _tg2(bump: Callable, n: int, k: int) -> IdentityReport:
+def _tg2(bump: Callable, n: int, k: int) -> Optional[Witness]:
     _in_range("index k", k, 1, n)
     lhs = Poly1.sum_of_products(
         ((-1) ** j * math.comb(n, j), bernstein_basis(n - j, k), _ONE) for j in range(n - k + 1)
     )
     rhs = Poly1.monomial(n, bump((-1) ** (n - k) * binomial(n, k), "rhs-const"))
-    return compare_poly("tg2", {"n": n, "k": k}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
-def _tg5(bump: Callable, n: int, k: int) -> IdentityReport:
+def _tg5(bump: Callable, n: int, k: int) -> Optional[Witness]:
     _in_range("index k", k, 1, n)
     lhs = Poly1.sum_of_products(
         ((-1) ** j * math.comb(n, j), _ONE_MINUS_X**j, bernstein_basis(n - j, k))
@@ -373,7 +372,7 @@ def _tg5(bump: Callable, n: int, k: int) -> IdentityReport:
     rhs = Poly1.sum_of_products(
         [(int(n == k), Poly1.monomial(k), _ONE), (bump(0, "branch-const"), _ONE, _ONE)]
     )
-    return compare_poly("tg5", {"n": n, "k": k}, lhs, rhs)
+    return compare_poly(lhs, rhs)
 
 
 def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = None) -> IdentityReport:
@@ -392,11 +391,13 @@ def verify_finite_sum(variant: str, n: int, k: int, *, mutate: Optional[str] = N
 
 class _SuiteEntry(NamedTuple):
     """params: degree cap -> admissible parameter tuples;
-    check: (bump, **params) -> report, reading every right-side constant
-    through `bump(base, slot)`; its slots are the constants it reads."""
+    check: (bump, **params) -> witness, None on a pass, reading every
+    right-side constant through `bump(base, slot)`; its slots are the
+    constants it reads; method: how the check compares the two sides."""
 
     params: Callable[[int], list[dict]]
-    check: Callable[..., IdentityReport]
+    check: Callable[..., Optional[Witness]]
+    method: str = METHOD_SYMBOLIC
 
 
 def _indexed(*names: str) -> Callable[[int], list[dict]]:
@@ -444,12 +445,12 @@ _SUITE = {
     "alternating-sum": _SuiteEntry(_indexed(), _alternating_sum),
     "subdivision-product": _SuiteEntry(_indexed("j"), _subdivision_product),
     "subdivision-affine": _SuiteEntry(_indexed("j"), _subdivision_affine),
-    "subdivision-trivariate": _SuiteEntry(_indexed("j"), _subdivision_trivariate),
+    "subdivision-trivariate": _SuiteEntry(_indexed("j"), _subdivision_trivariate, METHOD_GRID),
     "monomial": _SuiteEntry(_indexed("l"), _monomial),
     "derivative": _SuiteEntry(_indexed("k", "l"), _derivative),
     "recurrence": _SuiteEntry(_indexed("k", "v"), _recurrence),
-    "raise-x": _SuiteEntry(_raise_params, functools.partial(_raise, "raise-x", Poly1.monomial, 1)),
-    "raise-1mx": _SuiteEntry(_raise_params, functools.partial(_raise, "raise-1mx", lambda d: _ONE_MINUS_X**d, 0)),
+    "raise-x": _SuiteEntry(_raise_params, functools.partial(_raise, Poly1.monomial, 1)),
+    "raise-1mx": _SuiteEntry(_raise_params, functools.partial(_raise, lambda d: _ONE_MINUS_X**d, 0)),
     "elevation": _SuiteEntry(_indexed("k"), _elevation),
     "product": _SuiteEntry(_product_params, _product),
     "two-point": _SuiteEntry(_two_point_params, _two_point),
@@ -483,18 +484,18 @@ def suite_params(identity_id: str, max_degree: int) -> list[dict]:
 def _run(identity_id: str, params: Mapping[str, int], mutate: Optional[str]) -> tuple[IdentityReport, list[str]]:
     """The report of one check, with the slot `mutate` names bumped, and the
     slots the check read, in read order."""
-    check = _entry(identity_id, params).check
+    entry = _entry(identity_id, params)
+    at = {name: params[name] for name in _PARAM_NAMES[identity_id]}
     read: list[str] = []
 
     def bump(base, slot: str):
         read.append(slot)
         return base + 1 if slot == mutate else base
 
-    report = check(bump, **params)
+    witness = entry.check(bump, **at)
     if mutate is not None and mutate not in read:
-        at = {name: params[name] for name in _PARAM_NAMES[identity_id]}
         raise ValueError(f"{identity_id} has no mutation slot {mutate!r} at {at}")
-    return report, read
+    return IdentityReport(identity_id, at, entry.method, witness), read
 
 
 def mutation_slots(identity_id: str, params: Mapping[str, int]) -> tuple[str, ...]:

@@ -1,9 +1,11 @@
 """Machine-readable verdicts for identity checks.
 
-A failing report always carries a witness: either the first differing
-monomial (symbolic comparisons, graded lexicographic order) or the first
-differing evaluation point (grid comparisons), with both coefficient
-values rendered as lossless "p/q" strings.
+A check returns its witness, None when its two sides agree: else the
+first differing monomial (symbolic comparisons, graded lexicographic
+order) or the first differing evaluation point (grid comparisons), with
+both values rendered as lossless "p/q" strings.  `run_identity` (and,
+for the series catalog, `check_functional_equation`) builds the report
+from it, and the report's `passed` is read off the witness.
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ class Witness:
 class IdentityReport:
     identity_id: str
     params: Mapping[str, int]
-    passed: bool
     method: str
     witness: Optional[Witness] = None
 
-    def __post_init__(self):
-        if self.passed and self.witness is not None:
-            raise ValueError("a passing report cannot carry a witness")
-        if not self.passed and self.witness is None:
-            raise ValueError("a failing report must carry a witness")
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -59,18 +58,15 @@ class IdentityReport:
         }
 
 
-def compare_poly(
-    identity_id: str, params: Mapping[str, int], lhs: Poly1 | Poly2, rhs: Poly1 | Poly2
-) -> IdentityReport:
-    """Canonical-form equality of two polynomials of one ring; the
-    difference is built only to find a failing check's witness, its first
-    monomial."""
+def compare_poly(lhs: Poly1 | Poly2, rhs: Poly1 | Poly2) -> Optional[Witness]:
+    """Canonical-form equality of two polynomials of one ring: None when
+    they are equal, else the witness at their first differing monomial (the
+    difference is built only to find it)."""
     if lhs == rhs:
-        return IdentityReport(identity_id, params, True, METHOD_SYMBOLIC)
+        return None
     exps, _ = (lhs - rhs).monomials()[0]
-    witness = Witness(
+    return Witness(
         lhs=scalar_str(lhs.coefficient(*exps)),
         rhs=scalar_str(rhs.coefficient(*exps)),
         monomial=dict(zip(lhs._VARS, exps)),
     )
-    return IdentityReport(identity_id, params, False, METHOD_SYMBOLIC, witness)

@@ -14,7 +14,10 @@ diverge, so out-of-domain requests are hard errors rather than NaNs, and
 ratio r = 1-x, resp. -(1-x)/x: the partial sums add terms built by the
 recurrence term_n = term_(n-1) r n/(n-k), whose absolute values are those
 magnitudes, and the tail majorant reads rho = |r|.  A sweep shares one
-list of terms between its sums and its bounds.
+list of terms between its sums and its bounds.  `tail_bound` checks its
+input and reads the bound off one `_majorant` through `_bound`;
+`required_terms` builds that majorant once and calls `_bound` for every
+probe of its search.
 
 `laplace_monomial` is the one deliberately floating-point operation in the
 package: a quadrature approximation of the integral of t^k e^(-x t),
@@ -186,7 +189,12 @@ def tail_bound(series_id: str, k: int, x: ScalarLike, terms: int) -> Fraction:
     _check_domain(series_id, k, xq)
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    magnitude, m0, geometric = _majorant(series_id, k, xq)
+    return _bound(_majorant(series_id, k, xq), terms)
+
+
+def _bound(majorant, terms: int) -> Fraction:
+    """`tail_bound` from a built `_majorant`, for a checked term count."""
+    magnitude, m0, geometric = majorant
     start = max(terms + 1, m0)
     head = sum((magnitude(n) for n in range(terms + 1, start)), Fraction(0))
     return head + geometric(start, magnitude(start))
@@ -262,8 +270,10 @@ def required_terms(series_id: str, k: int, x: ScalarLike, eps: EpsLike) -> int:
     if epsq <= 0:
         raise ValueError("eps must be positive")
 
+    majorant = _majorant(series_id, k, xq)
+
     def met(n: int) -> bool:
-        return tail_bound(series_id, k, xq, n) <= epsq
+        return _bound(majorant, n) <= epsq
 
     # The bound is never met at lo (k - 1 lies below the search range);
     # once the doubling stops it is met at hi, and bisection keeps both.

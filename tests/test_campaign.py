@@ -1,5 +1,7 @@
 """Campaign reports: the streamed writer and the bounded memo caches."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import tracemalloc
@@ -16,6 +18,10 @@ MEMOISED = (bernstein_basis, basis_in, egf_bernstein, _basis_value_table)
 # Largest traced allocation peak allowed while a JSON report is written;
 # the default campaign's report alone is more than twice this size.
 WRITE_BUDGET = 256 * 1024
+# sha256 of the default campaign's JSON report with wall_time_s zeroed:
+# the golden digests stop at max_degree 4, this one pins every verdict,
+# witness and byte at the default size.
+DEFAULT_REPORT_DIGEST = "42f6ec168bc0be8c3ea6348aaa0a99b7029619f5061333ec61b36f04b46d7799"
 
 
 def joined_text(report):
@@ -96,6 +102,11 @@ class TestWriteReport:
             assert peak < WRITE_BUDGET, (report.config.max_degree, sink.size, peak)
             sizes.append(sink.size)
         assert sizes[1] > 2 * WRITE_BUDGET
+
+    def test_default_report_bytes_are_unchanged(self, default_report, render):
+        report = dataclasses.replace(default_report, wall_time_s=0.0)
+        digest = hashlib.sha256(render(report, "json").encode()).hexdigest()
+        assert digest == DEFAULT_REPORT_DIGEST
 
 
 class TestBoundedCaches:

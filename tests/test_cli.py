@@ -105,6 +105,14 @@ class TestExitCodes:
         fields = {f.name for f in dataclasses.fields(VerifyConfig)}
         assert fields <= flags, fields - flags
 
+    def test_cli_defaults_are_the_config_defaults(self):
+        # The parser states no default of its own: with no flags, every
+        # config field gets VerifyConfig's value (eps after exact parsing).
+        args = vars(build_parser().parse_args([]))
+        args["series_eps"] = Fraction(args["series_eps"])
+        for f in dataclasses.fields(VerifyConfig):
+            assert args[f.name] == getattr(VerifyConfig(), f.name), f.name
+
 
 class TestListIdentities:
     def test_lists_every_id(self, capsys):

@@ -76,18 +76,18 @@ class TestSum:
         lhs = Poly1()
         for k in range(1, n + 1):
             lhs = lhs + bernstein_basis(n, k)
-        report = compare_poly("sum", {"n": n}, lhs, Poly1([1]))
-        assert not report.passed
-        assert report.witness.monomial == {"x": 0}
-        assert report.witness.lhs == "0/1"
-        assert report.witness.rhs == "1/1"
+        witness = compare_poly(lhs, Poly1([1]))
+        assert witness is not None
+        assert witness.monomial == {"x": 0}
+        assert witness.lhs == "0/1"
+        assert witness.rhs == "1/1"
         # In two variables the witness is the first differing monomial in
         # graded lexicographic order (x^2 before y^3), named by both exponents.
         lhs2 = Poly2([[0, 0, 0, 1], [0], [Fraction(1, 2)]])  # y^3 + x^2/2
-        report = compare_poly("sum", {"n": n}, lhs2, Poly2([[0, 0, 0, 2]]))
-        assert report.witness.monomial == {"x": 2, "y": 0}
-        assert (report.witness.lhs, report.witness.rhs) == ("1/2", "0/1")
-        assert compare_poly("sum", {"n": n}, lhs2, lhs2).passed
+        witness = compare_poly(lhs2, Poly2([[0, 0, 0, 2]]))
+        assert witness.monomial == {"x": 2, "y": 0}
+        assert (witness.lhs, witness.rhs) == ("1/2", "0/1")
+        assert compare_poly(lhs2, lhs2) is None
 
 
 class TestAlternatingSum:
@@ -107,7 +107,7 @@ class TestSubdivision:
         # point and through the registry's check with an unbumping `bump`.
         assert verify_subdivision("product", 1, 0).passed
         check = identities._SUITE["subdivision-product"].check
-        assert check(lambda base, slot: base, n=1, j=0).passed
+        assert check(lambda base, slot: base, n=1, j=0) is None
 
     def test_product_variant_collapses_at_j_equals_n(self):
         for n in range(1, 7):
@@ -446,6 +446,15 @@ class TestDispatchAndSlots:
                     call(identity_id, params)
         with pytest.raises(ValueError, match="unknown identity id"):
             mutation_slots("no-such-identity", {"n": 1})
+
+    def test_report_params_follow_the_registry_order(self):
+        # `run_identity` builds the report, so its parameters come in the
+        # registry's name order whatever order the caller gave them in.
+        for identity_id in SUITE_IDS:
+            params = suite_params(identity_id, 3)[-1]
+            report = run_identity(identity_id, dict(reversed(params.items())))
+            assert list(report.params.items()) == list(params.items()), identity_id
+        assert list(run_identity("derivative", {"l": 1, "k": 0, "n": 2}).params) == ["n", "k", "l"]
 
 
 def _suite_cases(max_degree=6, trivariate_degree=5):

@@ -208,6 +208,20 @@ def test_oracle_imports_only_the_standard_library():
     assert modules and modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
 
 
+@pytest.mark.parametrize("path", sorted(Path(oracle.__file__).parent.rglob("*.py")), ids=lambda p: p.stem)
+def test_package_imports_only_the_standard_library(path):
+    # No runtime dependencies: every module of the package imports the
+    # standard library and, relatively, the package itself; only the oracle
+    # is held to absolute imports (above).
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    assert modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
+
+
 def test_oracle_needs_no_polynomial_arithmetic(monkeypatch):
     # With the product kernel, its packing, Poly1 products and the suite's
     # basis expansion all broken, the oracle still accepts every true identity.

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bernkit import series
 from bernkit.bernstein import bernstein_basis
 from bernkit.campaign import VerifyConfig, run_verify
 from bernkit.series import (
@@ -195,6 +196,19 @@ class TestRequiredTerms:
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
             required_terms("TG3", 0, Fraction(1, 2), 0)
+
+    def test_one_majorant_per_search(self, monkeypatch):
+        # Every probe of the search reads the same majorant, so one call
+        # builds it once, however many probes the search makes.
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return _majorant(*args)
+
+        monkeypatch.setattr(series, "_majorant", counting)
+        assert required_terms("TG4", 3, Fraction(5, 8), Fraction(1, 10**15)) > 40
+        assert built == [("TG4", 3, Fraction(5, 8))]
 
 
 def _simpson_per_power(k, x, T, steps):
