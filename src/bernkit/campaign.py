@@ -23,7 +23,7 @@ from .bernstein import BernsteinForm, bernstein_basis, eval_de_casteljau, to_ber
 from .egf import FE_IDS, check_functional_equation, fe_param_names, fe_vacuous
 from .identities import GRID_MARGIN, SUITE_IDS, mutation_slots, run_identity, suite_params
 from .polynomials import scalar_str
-from .report import IdentityReport, Witness
+from .report import METHOD_GRID, METHOD_NUMERIC, METHOD_SYMBOLIC, IdentityReport, Witness
 from .series import SERIES_IDS, SHARED_K_MAX, laplace_monomial, partial_sum, required_terms
 
 _SERIES_K_MAX = 3
@@ -196,7 +196,7 @@ def _run_series(series_id: str, config: VerifyConfig, mutated: bool) -> list[dic
                 witness = Witness(lhs=scalar_str(check.partial_sum), rhs=scalar_str(limit))
             params = {"k": k, "x": scalar_str(x)}
             out.append(
-                _result(series_id, params, "series", "numeric", witness, check.to_json_dict())
+                _result(series_id, params, "series", METHOD_NUMERIC, witness, check.to_json_dict())
             )
     return out
 
@@ -213,7 +213,7 @@ def _run_laplace(check_id: str, config: VerifyConfig, mutated: bool) -> list[dic
                 witness = Witness(lhs=repr(res.approx), rhs=scalar_str(exact))
             params = {"k": k, "x": scalar_str(x)}
             out.append(
-                _result(check_id, params, "quadrature", "numeric", witness, res.to_json_dict())
+                _result(check_id, params, "quadrature", METHOD_NUMERIC, witness, res.to_json_dict())
             )
     return out
 
@@ -234,7 +234,7 @@ def _basis_roundtrip(rng: random.Random, max_degree: int, mutated: bool) -> list
                 rhs=scalar_str(back.coeffs[idx]),
                 monomial={"k": idx},
             )
-        out.append(_result("basis-roundtrip", {"n": n}, "random", "symbolic", witness))
+        out.append(_result("basis-roundtrip", {"n": n}, "random", METHOD_SYMBOLIC, witness))
     return out
 
 
@@ -256,7 +256,7 @@ def _basis_eval(rng: random.Random, max_degree: int, mutated: bool) -> list[dict
                         lhs=scalar_str(left), rhs=scalar_str(right), point={"x": scalar_str(x)}
                     )
                     break
-            out.append(_result("basis-eval", {"n": n, "k": k}, "random", "grid", witness))
+            out.append(_result("basis-eval", {"n": n, "k": k}, "random", METHOD_GRID, witness))
     return out
 
 

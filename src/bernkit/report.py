@@ -17,6 +17,7 @@ from .polynomials import Poly1, Poly2, scalar_str
 
 METHOD_SYMBOLIC = "symbolic"
 METHOD_GRID = "grid"
+METHOD_NUMERIC = "numeric"
 
 
 @dataclass(frozen=True)

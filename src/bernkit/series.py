@@ -12,12 +12,12 @@ C(n,k) rho^(n-k) (rho = 1-x, resp. (1-x)/x); outside them the sums
 diverge, so out-of-domain requests are hard errors rather than NaNs, and
 `series_limit` refuses them too.  One function, `_ratio`, holds the term
 ratio r = 1-x, resp. -(1-x)/x: the partial sums add terms built by the
-recurrence term_n = term_(n-1) r n/(n-k), whose absolute values are those
-magnitudes, and the tail majorant reads rho = |r|.  A sweep shares one
-list of terms between its sums and its bounds.  `tail_bound` checks its
-input and reads the bound off one `_majorant` through `_bound`;
-`required_terms` builds that majorant once and calls `_bound` for every
-probe of its search.
+recurrence term_n = term_(n-1) r n/(n-k), and `_majorant` reads rho = |r|.
+One function, `_bound`, holds the tail-bound rule: exact magnitudes up to
+the majorant's geometric start, then the geometric majorant.  Sums and
+sweeps read its magnitudes off their list of terms; `tail_bound` and the
+probes of `required_terms`, which builds one majorant per search, read
+them from `_term`.
 
 `laplace_monomial` is the one deliberately floating-point operation in the
 package: a quadrature approximation of the integral of t^k e^(-x t),
@@ -115,8 +115,10 @@ def _ratio(series_id: str, x: Fraction) -> Fraction:
 
 
 def _term(series_id: str, k: int, x: Fraction, n: int) -> Fraction:
-    """Signed n-th term of the series, for n >= k; the basis value
+    """Signed n-th term of the series, 0 below k; the basis value
     C(n,k) x^k (1-x)^(n-k) is evaluated directly, with no polynomial built."""
+    if n < k:
+        return 0
     b = math.comb(n, k) * x**k * (1 - x) ** (n - k)
     if series_id == "TG3":
         return b
@@ -126,8 +128,7 @@ def _term(series_id: str, k: int, x: Fraction, n: int) -> Fraction:
 def _terms(series_id: str, k: int, x: Fraction, last: int) -> list:
     """Signed terms 0..last: zero below k, `_term` at n = k, and from there
     each term is the one before times r n/(n - k), as C(n,k)/C(n-1,k) =
-    n/(n - k), r = `_ratio`.  Each term's absolute value is its majorant
-    magnitude."""
+    n/(n - k), r = `_ratio`.  Each term equals `_term` at its index."""
     r = _ratio(series_id, x)
     p, q = r.numerator, r.denominator
     out = [0] * min(k, last + 1)
@@ -151,19 +152,14 @@ def series_limit(series_id: str, k: int, x: ScalarLike) -> Fraction:
 
 
 def _majorant(series_id: str, k: int, x: Fraction):
-    """(magnitude, m0, geometric) for the tail majorant of a checked series.
+    """(m0, geometric) for the tail majorant of a checked series.
 
     The term-ratio rho (m+1)/(m+1-k) decreases in m; m0 is the first index
-    m >= k where it is below one, and geometric(m, magnitude(m)) bounds the
+    m >= k where it is below one, and geometric(m, |term m|) bounds the
     whole tail from index m >= m0 on by a geometric series with the ratio
     at m.
     """
     rho = abs(_ratio(series_id, x))
-    amp = abs(_term(series_id, k, x, k))
-
-    def magnitude(n: int) -> Fraction:
-        return amp * math.comb(n, k) * rho ** (n - k) if n >= k else Fraction(0)
-
     p, q = rho.numerator, rho.denominator
 
     def geometric(m: int, magnitude_m: Fraction) -> Fraction:
@@ -175,7 +171,18 @@ def _majorant(series_id: str, k: int, x: Fraction):
     m0 = max(k, int(Fraction(k) / (1 - rho)))
     while (m0 + 1) * (1 - rho) <= k:
         m0 += 1
-    return magnitude, m0, geometric
+    return m0, geometric
+
+
+def _bound(majorant, magnitude, n: int) -> Fraction:
+    """The one tail-bound rule: a certified upper bound on |sum - partial
+    sum through index n|, from a built `_majorant` and `magnitude(i)` =
+    |term i|.  The magnitudes n+1..m0-1 before the geometric start are
+    added exactly; from max(n + 1, m0) on the geometric majorant bounds
+    the rest."""
+    m0, geometric = majorant
+    start = max(n + 1, m0)
+    return sum(map(magnitude, range(n + 1, start)), geometric(start, magnitude(start)))
 
 
 def tail_bound(series_id: str, k: int, x: ScalarLike, terms: int) -> Fraction:
@@ -189,35 +196,26 @@ def tail_bound(series_id: str, k: int, x: ScalarLike, terms: int) -> Fraction:
     _check_domain(series_id, k, xq)
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    return _bound(_majorant(series_id, k, xq), terms)
+    return _bound(_majorant(series_id, k, xq), lambda i: abs(_term(series_id, k, xq, i)), terms)
 
 
-def _bound(majorant, terms: int) -> Fraction:
-    """`tail_bound` from a built `_majorant`, for a checked term count."""
-    magnitude, m0, geometric = majorant
-    start = max(terms + 1, m0)
-    head = sum((magnitude(n) for n in range(terms + 1, start)), Fraction(0))
-    return head + geometric(start, magnitude(start))
+def _sweep(series_id: str, k: int, x: Fraction, first: int, last: int) -> list[SeriesCheck]:
+    """The checks through term counts first..last of a checked series: one
+    list of terms, built by their ratio recurrence through the majorant's
+    geometric start, serves both the sums and `_bound`."""
+    majorant = _majorant(series_id, k, x)
+    terms = _terms(series_id, k, x, max(majorant[0], last + 1))
+    limit = series_limit(series_id, k, x)
 
+    def magnitude(i: int) -> Fraction:
+        return abs(terms[i])
 
-def _tail_bounds(m0: int, geometric, terms: list, max_terms: int) -> list[Fraction]:
-    """`tail_bound` for every term count 0..max_terms, in one pass, from
-    the majorant's m0 and geometric and the signed terms 0..max(m0,
-    max_terms + 1) of `_terms`, whose absolute values are the magnitudes.
-
-    From n = m0 - 1 on, the bound is the geometric majorant at n + 1;
-    below that it is the fixed majorant at m0 plus the exact magnitudes
-    n+1..m0-1, a suffix sum that grows by one term per step down.
-    """
-    upper = [geometric(n + 1, abs(terms[n + 1])) for n in range(max(m0 - 1, 0), max_terms + 1)]
-    lower = []
-    tail = geometric(m0, abs(terms[m0]))
-    for n in range(m0 - 2, -1, -1):
-        tail += abs(terms[n + 1])
-        if n <= max_terms:
-            lower.append(tail)
-    lower.reverse()
-    return lower + upper
+    total = sum(terms[:first], Fraction(0))
+    out = []
+    for n in range(first, last + 1):
+        total += terms[n]
+        out.append(SeriesCheck(series_id, k, x, n, total, limit, _bound(majorant, magnitude, n)))
+    return out
 
 
 def partial_sum(series_id: str, k: int, x: ScalarLike, terms: int) -> SeriesCheck:
@@ -227,15 +225,7 @@ def partial_sum(series_id: str, k: int, x: ScalarLike, terms: int) -> SeriesChec
     _check_domain(series_id, k, xq)
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    return SeriesCheck(
-        series_id=series_id,
-        k=k,
-        x=xq,
-        terms_used=terms,
-        partial_sum=sum(_terms(series_id, k, xq, terms), Fraction(0)),
-        limit=series_limit(series_id, k, xq),
-        tail_bound=tail_bound(series_id, k, xq, terms),
-    )
+    return _sweep(series_id, k, xq, terms, terms)[0]
 
 
 def series_sweep(series_id: str, k: int, x: ScalarLike, max_terms: int) -> list[SeriesCheck]:
@@ -245,15 +235,7 @@ def series_sweep(series_id: str, k: int, x: ScalarLike, max_terms: int) -> list[
     _check_domain(series_id, k, xq)
     if max_terms < 0:
         raise ValueError("max_terms must be nonnegative")
-    _, m0, geometric = _majorant(series_id, k, xq)
-    terms = _terms(series_id, k, xq, max(m0, max_terms + 1))
-    out = []
-    total = Fraction(0)
-    limit = series_limit(series_id, k, xq)
-    for n, bound in enumerate(_tail_bounds(m0, geometric, terms, max_terms)):
-        total += terms[n]
-        out.append(SeriesCheck(series_id, k, xq, n, total, limit, bound))
-    return out
+    return _sweep(series_id, k, xq, 0, max_terms)
 
 
 def required_terms(series_id: str, k: int, x: ScalarLike, eps: EpsLike) -> int:
@@ -262,7 +244,9 @@ def required_terms(series_id: str, k: int, x: ScalarLike, eps: EpsLike) -> int:
     Found by searching the bound, not by inspecting computed terms; the
     search starts at the first index with any nonzero term.  The bound is
     nonincreasing in the term count, so the answer is bracketed by doubling
-    steps and then bisected.
+    steps and then bisected.  Each probe reads its magnitudes from `_term`:
+    a recurrence list grown to the doubling's overshoot costs more than the
+    few direct terms a probe needs.
     """
     xq = as_scalar(x)
     _check_domain(series_id, k, xq)
@@ -272,8 +256,11 @@ def required_terms(series_id: str, k: int, x: ScalarLike, eps: EpsLike) -> int:
 
     majorant = _majorant(series_id, k, xq)
 
+    def magnitude(i: int) -> Fraction:
+        return abs(_term(series_id, k, xq, i))
+
     def met(n: int) -> bool:
-        return _bound(majorant, n) <= epsq
+        return _bound(majorant, magnitude, n) <= epsq
 
     # The bound is never met at lo (k - 1 lies below the search range);
     # once the doubling stops it is met at hi, and bisection keeps both.

@@ -1,5 +1,7 @@
 """Certified series summation and the quadrature cross-check."""
 
+import hashlib
+import json
 import math
 import random
 import re
@@ -93,16 +95,15 @@ class TestTerms:
     def test_recurrence_terms_match_direct_terms_and_magnitudes(self):
         # Every TG3/TG4 point of the campaign and the series-quadrature
         # workload, to 200 terms: the ratio recurrence gives the very
-        # Fractions `_term` and the majorant's magnitude give.
+        # Fractions `_term` gives, zero below k included, so `_bound` reads
+        # the same magnitudes from the list as from `_term`.
         for series_id, points in GRID.items():
             for x in points:
                 for k in range(4):
                     terms = _terms(series_id, k, x, 200)
-                    magnitude = _majorant(series_id, k, x)[0]
                     assert terms[:k] == [0] * k
-                    for n in range(k, 201):
+                    for n in range(201):
                         assert terms[n] == _term(series_id, k, x, n), (series_id, k, x, n)
-                    assert [abs(t) for t in terms] == [magnitude(n) for n in range(201)]
 
     def test_recurrence_terms_stop_at_last(self):
         assert _terms("TG3", 3, Fraction(1, 2), 1) == [0, 0]
@@ -130,14 +131,17 @@ class TestTailBounds:
                 assert all(b1 >= b2 for b1, b2 in zip(tail, tail[1:]))
 
     def test_sweep_bounds_equal_single_bounds(self):
-        # The sweep builds every bound in one pass; each must be the very
-        # Fraction tail_bound gives.  TG3 at x = 1/50, k = 2 has its
-        # geometric start m0 = 100 beyond the sweep's last term count.
+        # The sweep and partial_sum read their magnitudes off the term list,
+        # tail_bound reads them from `_term`; each bound must be the very
+        # same Fraction.  TG3 at x = 1/50, k = 2 has its geometric start
+        # m0 = 100 beyond the sweep's last term count.
         cases = [(s, k, x) for s, points in GRID.items() for x in points for k in range(4)]
         cases.append(("TG3", 2, Fraction(1, 50)))
         for series_id, k, x in cases:
             bounds = [c.tail_bound for c in series_sweep(series_id, k, x, 80)]
             assert bounds == [tail_bound(series_id, k, x, n) for n in range(81)], (series_id, k, x)
+            for n in range(81):
+                assert partial_sum(series_id, k, x, n).tail_bound == bounds[n], (series_id, k, x, n)
 
     def test_negative_term_count_rejected_by_tail_bound(self):
         with pytest.raises(ValueError, match="terms must be nonnegative"):
@@ -209,6 +213,36 @@ class TestRequiredTerms:
         monkeypatch.setattr(series, "_majorant", counting)
         assert required_terms("TG4", 3, Fraction(5, 8), Fraction(1, 10**15)) > 40
         assert built == [("TG4", 3, Fraction(5, 8))]
+
+
+# sha256 over every certified value the series entry points give at the 24
+# TG3/TG4 points of GRID, k = 0..3, at eps 1/10^9 and 1/10^15: the
+# required_terms answer n, partial_sum at n (sum, bound, limit), the
+# 200-term series_sweep (sum, bound) and tail_bound at 0, k, n and 200, each
+# as an exact "p/q" string.  Recorded before the bound rule was written once.
+SERIES_VALUES_DIGEST = "bfd3ebe5ae1cf5dec6c0eee64666c76bf0d6b12da5b2c6d480f0858bd287c0cb"
+
+
+def test_series_values_are_unchanged():
+    def pq(v):
+        v = Fraction(v)
+        return f"{v.numerator}/{v.denominator}"
+
+    digest = hashlib.sha256()
+    for series_id, points in GRID.items():
+        for x in points:
+            for k in range(4):
+                sweep = series_sweep(series_id, k, x, 200)
+                lines = [[series_id, k, pq(x)]]
+                lines += [[pq(c.partial_sum), pq(c.tail_bound)] for c in sweep]
+                for eps in (Fraction(1, 10**9), Fraction(1, 10**15)):
+                    n = required_terms(series_id, k, x, eps)
+                    check = partial_sum(series_id, k, x, n)
+                    lines.append([pq(eps), n, pq(check.partial_sum), pq(check.tail_bound), pq(check.limit)])
+                    lines.append([pq(tail_bound(series_id, k, x, m)) for m in (0, k, n, 200)])
+                for line in lines:
+                    digest.update(json.dumps(line).encode() + b"\n")
+    assert digest.hexdigest() == SERIES_VALUES_DIGEST
 
 
 def _simpson_per_power(k, x, T, steps):
